@@ -14,6 +14,7 @@
 //! tuple is neither trusted nor condemned — it is excluded from
 //! enrichment and from repair generation instead of being mislabeled.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use katara_crowd::{Answer, Crowd, Oracle, Question};
@@ -201,10 +202,12 @@ pub fn annotate<O: Oracle>(
 }
 
 /// Snapshot-aware variant of [`annotate`]: cell lookups during tuple
-/// matching and entity resolution go through `resolution` when given.
-/// KB enrichment mutates `kb` mid-run; the snapshot detects the version
-/// change and transparently falls back to live queries from that point
-/// on, so results are identical to the direct path.
+/// matching and entity resolution go through `resolution` when given,
+/// which must be current for `kb` ([`TableResolution::is_current`]).
+/// KB enrichment mutates `kb` mid-run; before every later read the
+/// snapshot is patched with the writes, never read stale, so results
+/// are identical to the direct path. The patches go to a private copy,
+/// made on the first write; `resolution` itself is never mutated.
 pub fn annotate_resolved<O: Oracle>(
     table: &Table,
     pattern: &TablePattern,
@@ -213,11 +216,16 @@ pub fn annotate_resolved<O: Oracle>(
     config: &AnnotationConfig,
     resolution: Option<&TableResolution>,
 ) -> AnnotationResult {
-    annotate_resolved_cached(table, pattern, kb, crowd, config, resolution, None)
+    let mut snapshot = resolution.map(Cow::Borrowed);
+    annotate_resolved_cached(table, pattern, kb, crowd, config, snapshot.as_mut(), None)
 }
 
-/// [`annotate_resolved`] with a carry-over cache: `full_rows[r]` asserts
-/// that row `r` matched the pattern [`TupleMatch::Full`] on a previous
+/// [`annotate_resolved`] over a caller-held copy-on-write snapshot, with
+/// a carry-over cache. On return `resolution` is current for `kb` again:
+/// an owned snapshot is patched in place, a borrowed one is replaced by
+/// its patched copy once enrichment writes.
+///
+/// `full_rows[r]` asserts that row `r` matched the pattern [`TupleMatch::Full`] on a previous
 /// run *under this same pattern* and that nothing affecting the match
 /// (the row's cells, the KB) has changed since. Such rows synthesize
 /// their all-KB annotation without re-matching. A `Full` row asks no
@@ -233,16 +241,51 @@ pub fn annotate_resolved_cached<O: Oracle>(
     kb: &mut Kb,
     crowd: &mut Crowd<O>,
     config: &AnnotationConfig,
-    resolution: Option<&TableResolution>,
+    resolution: Option<&mut Cow<'_, TableResolution>>,
     full_rows: Option<&[bool]>,
 ) -> AnnotationResult {
+    debug_assert!(
+        resolution.as_ref().is_none_or(|r| r.is_current(kb)),
+        "annotation needs a snapshot current for its KB"
+    );
     // Capture spans both annotation passes: the returned delta is the
-    // complete, replayable record of what this run wrote to `kb`.
+    // complete, replayable record of what this run wrote to `kb`, and the
+    // snapshot view follows the KB through it.
     kb.begin_delta_capture();
+    let mut view = SnapshotView {
+        snapshot: resolution,
+        patched: 0,
+    };
     let mut result =
-        annotate_resolved_inner(table, pattern, kb, crowd, config, resolution, full_rows);
+        annotate_resolved_inner(table, pattern, kb, crowd, config, &mut view, full_rows);
+    // Leave the caller's snapshot current, even after a final write.
+    view.current(kb);
     result.delta = kb.take_delta();
     result
+}
+
+/// Annotation's copy-on-write view of the snapshot: every read goes
+/// through [`Self::current`], which first folds the enrichment writes
+/// captured since the last patch into the snapshot via
+/// [`TableResolution::apply_enrichment`]. A borrowed snapshot is cloned
+/// on the first patch, so a run without writes never copies.
+struct SnapshotView<'s, 'r> {
+    snapshot: Option<&'s mut Cow<'r, TableResolution>>,
+    /// How many of `Kb::captured_ops` are already folded in.
+    patched: usize,
+}
+
+impl SnapshotView<'_, '_> {
+    /// The snapshot, patched up to `kb`'s version; `None` in direct mode.
+    fn current(&mut self, kb: &Kb) -> Option<&TableResolution> {
+        let snapshot = self.snapshot.as_deref_mut()?;
+        if !snapshot.is_current(kb) {
+            let ops = &kb.captured_ops()[self.patched..];
+            snapshot.to_mut().apply_enrichment(kb, ops);
+            self.patched += ops.len();
+        }
+        Some(snapshot)
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -252,7 +295,7 @@ fn annotate_resolved_inner<O: Oracle>(
     kb: &mut Kb,
     crowd: &mut Crowd<O>,
     config: &AnnotationConfig,
-    resolution: Option<&TableResolution>,
+    view: &mut SnapshotView,
     full_rows: Option<&[bool]>,
 ) -> AnnotationResult {
     // Boolean fact answers are memoized: duplicate tuples (and the
@@ -260,7 +303,7 @@ fn annotate_resolved_inner<O: Oracle>(
     // a no-answer is as reusable as a yes-answer.
     let mut memo: HashMap<(String, String, String), bool> = HashMap::new();
     let result = annotate_once(
-        table, pattern, kb, crowd, config, &mut memo, resolution, full_rows,
+        table, pattern, kb, crowd, config, &mut memo, view, full_rows,
     );
     if table.num_rows() < config.feedback_min_tuples {
         return result;
@@ -339,9 +382,7 @@ fn annotate_resolved_inner<O: Oracle>(
     let Ok(reduced) = TablePattern::new(nodes, edges, pattern.score()) else {
         return result; // cannot strip into a valid pattern; keep pass 1
     };
-    let mut second = annotate_once(
-        table, &reduced, kb, crowd, config, &mut memo, resolution, None,
-    );
+    let mut second = annotate_once(table, &reduced, kb, crowd, config, &mut memo, view, None);
     second.enriched_facts += result.enriched_facts;
     second.enriched_entities += result.enriched_entities;
     second.feedback_stripped = stripped;
@@ -358,7 +399,7 @@ fn annotate_once<O: Oracle>(
     crowd: &mut Crowd<O>,
     config: &AnnotationConfig,
     memo: &mut HashMap<(String, String, String), bool>,
-    resolution: Option<&TableResolution>,
+    view: &mut SnapshotView,
     full_rows: Option<&[bool]>,
 ) -> AnnotationResult {
     let mut result = AnnotationResult {
@@ -394,7 +435,7 @@ fn annotate_once<O: Oracle>(
             continue;
         }
         let row = table.row(row_idx);
-        let report = pattern.match_tuple_resolved(kb, row, resolution.map(|r| (r, row_idx)));
+        let report = pattern.match_tuple_resolved(kb, row, view.current(kb).map(|r| (r, row_idx)));
 
         if report.outcome == TupleMatch::Full {
             result.tuples.push(TupleAnnotation {
@@ -489,11 +530,11 @@ fn annotate_once<O: Oracle>(
                 enrich(
                     kb,
                     pattern,
-                    row,
+                    (row, row_idx),
                     &confirmed_nodes,
                     &confirmed_edges,
                     &mut result,
-                    resolution.map(|r| (r, row_idx)),
+                    view,
                 );
             }
             TupleStatus::ValidatedWithCrowd
@@ -538,55 +579,37 @@ fn ask_memoized<O: Oracle>(
 }
 
 /// Insert crowd-confirmed types and relationships into the KB.
-#[allow(clippy::too_many_arguments)]
 fn enrich(
     kb: &mut Kb,
     pattern: &TablePattern,
-    row: &[katara_table::Value],
+    (row, row_idx): (&[katara_table::Value], usize),
     confirmed_nodes: &[usize],
     confirmed_edges: &[usize],
     result: &mut AnnotationResult,
-    resolution: Option<(&TableResolution, usize)>,
+    view: &mut SnapshotView,
 ) {
-    let resolved = |col: usize| resolution.map(|(res, row_idx)| (res, col, row_idx));
+    let created = &mut result.enriched_entities;
     for &ni in confirmed_nodes {
         let node = pattern.nodes()[ni];
         let (Some(class), Some(cell)) = (node.class, row[node.column].as_str()) else {
             continue;
         };
-        let r = resolve_or_create(
-            kb,
-            cell,
-            resolved(node.column),
-            &mut result.enriched_entities,
-        );
+        let r = resolve_or_create(kb, view, (node.column, row_idx), cell, created);
         kb.add_type(r, class);
     }
     for &ei in confirmed_edges {
         let edge = pattern.edges()[ei];
-        let (Some(subj), Some(obj)) = (
-            row[edge.subject].as_str().map(str::to_owned),
-            row[edge.object].as_str().map(str::to_owned),
-        ) else {
+        let (Some(subj), Some(obj)) = (row[edge.subject].as_str(), row[edge.object].as_str())
+        else {
             continue;
         };
-        let s = resolve_or_create(
-            kb,
-            &subj,
-            resolved(edge.subject),
-            &mut result.enriched_entities,
-        );
+        let s = resolve_or_create(kb, view, (edge.subject, row_idx), subj, created);
         let obj_node = pattern.node_for_column(edge.object);
         let is_literal = obj_node.is_none_or(|n| n.class.is_none());
         let added = if is_literal {
-            kb.add_literal_fact(s, edge.property, &obj)
+            kb.add_literal_fact(s, edge.property, obj)
         } else {
-            let o = resolve_or_create(
-                kb,
-                &obj,
-                resolved(edge.object),
-                &mut result.enriched_entities,
-            );
+            let o = resolve_or_create(kb, view, (edge.object, row_idx), obj, created);
             kb.add_fact(s, edge.property, o)
         };
         if added {
@@ -595,21 +618,26 @@ fn enrich(
     }
 }
 
-/// Resolve a cell to its best-matching KB resource, creating a fresh
-/// entity when the KB has never heard of the value. `resolved` is the
-/// snapshot coordinate `(snapshot, column, row)` of the cell when a
-/// [`TableResolution`] is in play; a stale or absent snapshot entry
-/// falls back to the live query.
+/// Resolve cell `(column, row)` to its best-matching KB resource,
+/// creating a fresh entity when the KB has never heard of the value. The
+/// lookup goes through the snapshot view when one is in play — patched
+/// first, since the previous cell of the same row may just have created
+/// the entity this one matches — and live otherwise.
 fn resolve_or_create(
     kb: &mut Kb,
+    view: &mut SnapshotView,
+    (col, row): (usize, usize),
     cell: &str,
-    resolved: Option<(&TableResolution, usize, usize)>,
     created: &mut usize,
 ) -> ResourceId {
-    let hit = resolved
-        .and_then(|(res, col, row)| res.candidates(kb, col, row))
-        .map(|c| c.first().map(|&(r, _)| r))
-        .unwrap_or_else(|| kb.candidate_resources(cell).first().map(|&(r, _)| r));
+    let best = |cands: &[(ResourceId, f64)]| cands.first().map(|&(r, _)| r);
+    let hit = match view
+        .current(kb)
+        .and_then(|res| res.candidates(kb, col, row))
+    {
+        Some(cands) => best(cands),
+        None => best(&kb.candidate_resources(cell)),
+    };
     if let Some(r) = hit {
         return r;
     }

@@ -159,9 +159,9 @@ pub fn discover_candidates(table: &Table, kb: &Kb, config: &CandidateConfig) -> 
 /// Snapshot-path discovery over a prebuilt [`TableResolution`] for the
 /// same `(table, kb)` pair. Workers share the read-only snapshot instead
 /// of rebuilding per-worker `Q_types`/`Q_rels` memo maps, so the plain
-/// order-preserving `par_map_indexed` suffices. A stale or row-capped
-/// snapshot degrades to equivalent live queries per cell (slower,
-/// identical output).
+/// order-preserving `par_map_indexed` suffices. The snapshot must be
+/// current for `kb`; value pairs beyond its row cap are computed from
+/// its cached candidate lists (slower, identical output).
 pub fn discover_candidates_resolved(
     table: &Table,
     kb: &Kb,
@@ -409,7 +409,7 @@ pub(crate) fn fold_types_from_counts(
     let mut acc = HashMap::new();
     for (_, id, count) in ids {
         let types = resolution.types_of(kb, id);
-        fold_type_group(kb, num_classes, &types, count, &mut acc);
+        fold_type_group(kb, num_classes, types, count, &mut acc);
     }
     acc
 }

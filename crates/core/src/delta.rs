@@ -23,9 +23,10 @@
 //!   caches; appends and deletes shift the window, dirtying every list.
 //!   Edits outside the window leave discovery untouched but still dirty
 //!   the row.
-//! * **KB deltas** ([`EnrichmentDelta`]): the run's own enrichment is
-//!   folded into the snapshot via
-//!   [`TableResolution::apply_enrichment`] after every run; because
+//! * **KB deltas** ([`EnrichmentDelta`]): annotation patches the
+//!   session's snapshot with the run's own enrichment as it writes
+//!   ([`TableResolution::apply_enrichment`] before every read, so the
+//!   snapshot is never read stale), and hands it back current; because
 //!   tf-idf inputs (class sizes, property subject counts) may have
 //!   moved, *all* cached lists are re-folded on the next run — a cheap
 //!   arithmetic pass over the maintained counts, with zero KB probes.
@@ -48,6 +49,7 @@
 //! functions of (row cells, effective pattern, KB version) and are
 //! reused exactly when that triple is unchanged.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -71,7 +73,7 @@ use crate::pipeline::{
 };
 use crate::rank_join::{discover_topk_with_stats, DiscoveryConfig};
 use crate::repair::{generate_repairs_resolved, Repair, RepairConfig, RepairIndex};
-use crate::resolve::{EnrichmentPatch, TableResolution};
+use crate::resolve::TableResolution;
 use crate::validation::{validate_patterns, ValidationConfig, ValidationOutcome};
 
 /// Per-delta edit accounting, exported as `delta.*` counters.
@@ -95,7 +97,9 @@ struct EditStats {
 pub struct DeltaSession {
     config: KataraConfig,
     table: Table,
-    resolution: TableResolution,
+    /// Always owned; held as a `Cow` so annotation patches it in place
+    /// through the same copy-on-write path that copies a shared one.
+    resolution: Cow<'static, TableResolution>,
     ncols: usize,
     /// Ordered column pairs in the pipeline's canonical i-outer/j-inner
     /// order; all `pair_*` vectors below are indexed by position here.
@@ -138,10 +142,12 @@ impl DeltaSession {
         crowd: &mut Crowd<O>,
         config: KataraConfig,
     ) -> Result<(Self, CleaningReport), KataraError> {
-        let resolution = TableResolution::build(table, kb, config.candidates.max_rows)
-            .with_recorder(config.recorder.clone());
-        let katara = Katara::new(config.clone());
-        let report = katara.clean_with_resolution(table, kb, crowd, Some(&resolution))?;
+        let mut snapshot = Some(Cow::Owned(
+            TableResolution::build(table, kb, config.candidates.max_rows)
+                .with_recorder(config.recorder.clone()),
+        ));
+        let report = Katara::new(config.clone()).clean_patching(table, kb, crowd, &mut snapshot)?;
+        let resolution = snapshot.expect("an injected snapshot is handed back");
 
         let ncols = table.num_columns();
         let pairs: Vec<(usize, usize)> = (0..ncols)
@@ -170,12 +176,9 @@ impl DeltaSession {
             repair_index: None,
             row_repairs: HashMap::new(),
         };
-        // Fold the run's own KB writes into the snapshot, then warm the
-        // discovery caches (bootstrap folding is part of the full run's
-        // work, so it is not counted as delta re-scoring).
-        if !report.annotation.delta.is_empty() {
-            session.resolution.apply_enrichment(kb, report.enrichment());
-        }
+        // Warm the discovery caches over the snapshot the run patched
+        // (bootstrap folding is part of the full run's work, so it is not
+        // counted as delta re-scoring).
         session.rebuild_window_counts();
         session.refold(kb);
         session.refresh_full_rows(
@@ -229,17 +232,13 @@ impl DeltaSession {
     /// full-match annotation cache is dropped — an external writer can
     /// add an exactly-labelled entity that flips the candidate
     /// short-circuit, something in-run enrichment provably cannot do.
-    pub fn apply_enrichment(&mut self, kb: &Kb, delta: &EnrichmentDelta) -> EnrichmentPatch {
-        let patch = self.resolution.apply_enrichment(kb, delta);
+    pub fn apply_enrichment(&mut self, kb: &Kb, delta: &EnrichmentDelta) {
+        self.resolution.to_mut().apply_enrichment(kb, &delta.ops);
         if !delta.is_empty() {
             self.needs_full_refold = true;
             self.full_pattern = None;
             self.full_rows.iter_mut().for_each(|f| *f = false);
-            self.config
-                .recorder
-                .incr_by(Counter::DeltaValuesResolved, patch.values_repatched as u64);
         }
-        patch
     }
 
     /// Apply `delta` to the session's table and re-clean incrementally.
@@ -380,7 +379,8 @@ impl DeltaSession {
         let pattern = outcome.pattern;
 
         // (3) Annotation, skipping rows whose Full match under this same
-        // pattern is still guaranteed.
+        // pattern is still guaranteed. It patches the snapshot with its
+        // own enrichment and leaves it current.
         let annotation = {
             let _span = Span::enter(rec.as_ref(), "annotate");
             let full =
@@ -391,7 +391,7 @@ impl DeltaSession {
                 kb,
                 crowd,
                 &annotation_cfg,
-                Some(&self.resolution),
+                Some(&mut self.resolution),
                 full,
             )
         };
@@ -510,12 +510,9 @@ impl DeltaSession {
             questions_saved: run_stats.questions_saved,
         };
 
-        // Post-run bookkeeping: fold this run's own enrichment into the
-        // snapshot (selective patch, not a rebuild) and refresh the
-        // carry-over annotation cache.
+        // Post-run bookkeeping: enrichment moved tf-idf inputs, and the
+        // carry-over annotation cache is refreshed.
         if !annotation.delta.is_empty() {
-            let patch = self.resolution.apply_enrichment(kb, &annotation.delta);
-            rec.incr_by(Counter::DeltaValuesResolved, patch.values_repatched as u64);
             self.needs_full_refold = true;
         }
         self.refresh_full_rows(kb, &pattern, &annotation, degradation.deadline_expired);
@@ -665,7 +662,7 @@ impl DeltaSession {
                 if row == nrows {
                     // Append: the new row enters the window iff it fits.
                     let strs: Vec<Option<&str>> = cells.iter().map(Value::as_str).collect();
-                    stats.values_resolved += self.resolution.push_row(kb, &strs);
+                    stats.values_resolved += self.resolution.to_mut().push_row(kb, &strs);
                     self.table.push_row(cells.clone());
                     self.full_rows.push(false);
                     stats.touched += 1;
@@ -680,7 +677,7 @@ impl DeltaSession {
                     let mut new_ids = vec![None; self.ncols];
                     let mut raw_changed = false;
                     for (c, v) in cells.iter().enumerate() {
-                        let patch = self.resolution.set_cell(kb, c, row, v.as_str());
+                        let patch = self.resolution.to_mut().set_cell(kb, c, row, v.as_str());
                         stats.values_resolved += usize::from(patch.resolved);
                         new_ids[c] = patch.new;
                         let old_v = self.table.set_cell(row, c, v.clone());
@@ -714,7 +711,7 @@ impl DeltaSession {
                     // out-of-window row in (indices shift up by one).
                     let boundary = (nrows > w).then(|| self.row_ids(w));
                     self.table.remove_row(row);
-                    self.resolution.remove_row(row);
+                    self.resolution.to_mut().remove_row(row);
                     self.remove_window_row(&old_ids);
                     if let Some(b) = boundary {
                         self.add_window_row(&b);
@@ -722,7 +719,7 @@ impl DeltaSession {
                     self.mark_all_dirty();
                 } else {
                     self.table.remove_row(row);
-                    self.resolution.remove_row(row);
+                    self.resolution.to_mut().remove_row(row);
                 }
                 self.full_rows.remove(row);
                 self.row_repairs = std::mem::take(&mut self.row_repairs)
@@ -767,7 +764,7 @@ impl DeltaSession {
             // fold reads it.
             let keys: Vec<(u32, u32)> = self.pair_counts[pi].keys().copied().collect();
             for (a, b) in keys {
-                self.resolution.ensure_pair(kb, a, b);
+                self.resolution.to_mut().ensure_pair(kb, a, b);
             }
             let acc = fold_rels_from_counts(kb, &self.resolution, &self.pair_counts[pi]);
             self.pair_lists[pi] =
@@ -846,8 +843,10 @@ impl DeltaSession {
     /// Stale-snapshot fallback: rebuild the resolution and drop every
     /// cache. Sound whatever the caller missed, at full-rebuild cost.
     fn resync(&mut self, kb: &Kb) {
-        self.resolution = TableResolution::build(&self.table, kb, self.config.candidates.max_rows)
-            .with_recorder(self.config.recorder.clone());
+        self.resolution = Cow::Owned(
+            TableResolution::build(&self.table, kb, self.config.candidates.max_rows)
+                .with_recorder(self.config.recorder.clone()),
+        );
         self.rebuild_window_counts();
         self.needs_full_refold = true;
         self.full_pattern = None;

@@ -12,6 +12,8 @@
 //! literal columns discovered by `Q_rels^2` (e.g. `Rossi hasHeight 1.78`),
 //! where the object has no KB type.
 
+use std::borrow::Cow;
+
 use katara_kb::{ClassId, Kb, PropertyId, ResourceId};
 use katara_table::Value;
 
@@ -259,13 +261,10 @@ impl TablePattern {
         resolution: Option<(&TableResolution, usize)>,
     ) -> MatchReport {
         // Candidate resources for one cell, snapshot-backed when available.
-        let cell_candidates = |col: usize, cell: &str| -> Vec<(ResourceId, f64)> {
+        let cell_candidates = |col: usize, cell: &str| -> Cow<'_, [(ResourceId, f64)]> {
             match resolution {
-                Some((res, r)) => res
-                    .candidates(kb, col, r)
-                    .map(|c| c.into_owned())
-                    .unwrap_or_default(),
-                None => kb.candidate_resources(cell),
+                Some((res, r)) => Cow::Borrowed(res.candidates(kb, col, r).unwrap_or_default()),
+                None => Cow::Owned(kb.candidate_resources(cell)),
             }
         };
         // Candidate resources per node (typed nodes only).
@@ -277,9 +276,9 @@ impl TablePattern {
                     // Same filter as `Kb::typed_candidates`: candidate
                     // resources restricted to instances of `class`.
                     let typed: Vec<ResourceId> = cell_candidates(node.column, cell)
-                        .into_iter()
-                        .filter(|&(r, _)| kb.has_type(r, class))
-                        .map(|(r, _)| r)
+                        .iter()
+                        .filter(|&&(r, _)| kb.has_type(r, class))
+                        .map(|&(r, _)| r)
                         .collect();
                     node_ok.push(!typed.is_empty());
                     cand.push(typed);
@@ -326,8 +325,8 @@ impl TablePattern {
                                 .and_then(Value::as_str)
                                 .map(|cell| {
                                     cell_candidates(e.subject, cell)
-                                        .into_iter()
-                                        .map(|(r, _)| r)
+                                        .iter()
+                                        .map(|&(r, _)| r)
                                         .collect()
                                 })
                                 .unwrap_or_default()

@@ -2,6 +2,7 @@
 //! pattern validation → data annotation → possible repairs, plus multi-KB
 //! selection (a §9 future-work item implemented here).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use katara_crowd::{Crowd, CrowdStats, Oracle};
@@ -10,7 +11,7 @@ use katara_kb::{EnrichmentDelta, Kb};
 use katara_obs::{Counter, Gauge, NoopRecorder, Recorder, Span};
 use katara_table::Table;
 
-use crate::annotation::{annotate_resolved, AnnotationConfig, AnnotationResult};
+use crate::annotation::{annotate_resolved_cached, AnnotationConfig, AnnotationResult};
 use crate::candidates::{
     discover_candidates, discover_candidates_direct, discover_candidates_resolved, CandidateConfig,
 };
@@ -241,11 +242,14 @@ impl Katara {
     }
 
     /// Like [`clean`](Self::clean), with an optional pre-built
-    /// [`TableResolution`] for `(table, kb)`. Injecting one skips the
+    /// [`TableResolution`] for `(table, kb)`, which must be current for
+    /// `kb` ([`TableResolution::is_current`]). Injecting one skips the
     /// snapshot build (the cold half of the resolve bench measures
     /// exactly that build); pass `None` for normal operation, where the
     /// snapshot is built here once per run when
-    /// [`KataraConfig::resolve`] is [`ResolveMode::Snapshot`].
+    /// [`KataraConfig::resolve`] is [`ResolveMode::Snapshot`]. The
+    /// injected snapshot is never mutated: annotation patches a private
+    /// copy when enrichment writes to `kb`.
     pub fn clean_with_resolution<O: Oracle>(
         &self,
         table: &Table,
@@ -253,6 +257,24 @@ impl Katara {
         crowd: &mut Crowd<O>,
         shared: Option<&TableResolution>,
     ) -> Result<CleaningReport, KataraError> {
+        self.clean_patching(table, kb, crowd, &mut shared.map(Cow::Borrowed))
+    }
+
+    /// [`clean_with_resolution`](Self::clean_with_resolution) over a
+    /// caller-held copy-on-write snapshot. `None` is filled with the
+    /// run's own build in snapshot mode; on success the snapshot is
+    /// current for the enriched `kb`.
+    pub(crate) fn clean_patching<O: Oracle>(
+        &self,
+        table: &Table,
+        kb: &mut Kb,
+        crowd: &mut Crowd<O>,
+        snapshot: &mut Option<Cow<'_, TableResolution>>,
+    ) -> Result<CleaningReport, KataraError> {
+        debug_assert!(
+            snapshot.as_ref().is_none_or(|r| r.is_current(kb)),
+            "clean needs a snapshot current for its KB"
+        );
         // One recorder for the whole run: KataraConfig's wins — it is
         // injected into every stage config the pipeline actually runs.
         // The deadline travels the same way, plus into the crowd, so all
@@ -295,26 +317,21 @@ impl Katara {
         let mut asked_mark: CrowdStats = stats_before.clone();
         // (0) The shared query snapshot: adopt the injected one, or
         // build it once for the whole run.
-        let built;
-        let resolution: Option<&TableResolution> = {
+        {
             let _span = Span::enter(rec.as_ref(), "resolve");
-            match (self.config.resolve, shared) {
-                (_, Some(r)) => Some(r),
-                (ResolveMode::Snapshot, None) => {
-                    built = TableResolution::build(table, kb, self.config.candidates.max_rows)
-                        .with_recorder(rec.clone());
-                    Some(&built)
-                }
-                (ResolveMode::Direct, None) => None,
+            if snapshot.is_none() && self.config.resolve == ResolveMode::Snapshot {
+                let built = TableResolution::build(table, kb, self.config.candidates.max_rows)
+                    .with_recorder(rec.clone());
+                *snapshot = Some(Cow::Owned(built));
             }
-        };
+        }
         if dl.expired() {
             return Err(KataraError::DeadlineExceeded { phase: "discover" });
         }
         // (1) Pattern discovery.
         let (patterns, discovery_stats) = {
             let _span = Span::enter(rec.as_ref(), "discover");
-            let cands = match resolution {
+            let cands = match snapshot.as_deref() {
                 Some(res) => discover_candidates_resolved(table, kb, res, &candidates_cfg),
                 None => discover_candidates_direct(table, kb, &candidates_cfg),
             };
@@ -385,11 +402,18 @@ impl Katara {
         let pattern = outcome.pattern;
 
         // (3) Data annotation (mutates the KB through enrichment — the
-        // snapshot notices the version bump and serves live results
-        // from then on).
+        // snapshot is patched with every write before its next read).
         let annotation = {
             let _span = Span::enter(rec.as_ref(), "annotate");
-            annotate_resolved(table, &pattern, kb, crowd, &annotation_cfg, resolution)
+            annotate_resolved_cached(
+                table,
+                &pattern,
+                kb,
+                crowd,
+                &annotation_cfg,
+                snapshot.as_mut(),
+                None,
+            )
         };
         mark_phase("annotate", &mut deadline_phase);
         record_phase_questions(
@@ -425,8 +449,8 @@ impl Katara {
                 Vec::new()
             } else {
                 let index = RepairIndex::build(kb, &effective, &repair_cfg);
-                // Repair only consumes the snapshot's string tier (normalized
-                // cells), which never goes stale — safe even after enrichment.
+                // Repair only consumes the snapshot's string tier
+                // (normalized cells).
                 generate_repairs_resolved(
                     &index,
                     kb,
@@ -436,7 +460,7 @@ impl Katara {
                     self.config.repairs_k,
                     &repair_cfg,
                     self.config.threads,
-                    resolution,
+                    snapshot.as_deref(),
                 )
             }
         };

@@ -16,24 +16,26 @@
 //!    results for the column-pair combinations that actually co-occur in
 //!    the scanned rows, the hot path feeding the rank-join.
 //!
-//! ### Staleness (invalidation = never)
+//! ### Staleness (patched, never read stale)
 //!
-//! The snapshot itself is immutable and is never invalidated in place.
 //! Annotation *enriches* the KB mid-run (§6.1) and later tuples must see
-//! the enriched facts, so the KB tiers are guarded by the KB's mutation
-//! counter ([`Kb::version`]): the snapshot records the version it was
-//! built against, and every KB-tier accessor takes `&Kb` and transparently
-//! falls back to an equivalent live query once the version has moved.
-//! Over-invalidation is safe (slower, identical answers); the string tier
-//! needs no guard at all. Memory is bounded by the distinct-value count,
-//! not the cell count — see `DESIGN.md` §5e.
+//! the enriched facts. The snapshot records the KB mutation counter
+//! ([`Kb::version`]) its KB tiers reflect, and every KB-tier read takes
+//! `&Kb` and requires the snapshot to be current for it (checked by
+//! `debug_assert!`). Whoever writes to the KB brings the snapshot along
+//! with [`TableResolution::apply_enrichment`], which re-resolves exactly
+//! the values the writes can have affected: annotation patches its
+//! copy-on-write view before each read, the incremental engine patches
+//! its long-lived snapshot with journaled deltas. The string tier needs
+//! no guard at all. Memory is bounded by the distinct-value count, not
+//! the cell count — see `DESIGN.md` §5e.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use katara_kb::sim;
-use katara_kb::{ClassId, DeltaOp, EnrichmentDelta, Kb, ProbePlan, PropertyId, ResourceId};
+use katara_kb::{ClassId, DeltaOp, Kb, ProbePlan, PropertyId, ResourceId};
 use katara_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use katara_table::Table;
 
@@ -58,6 +60,20 @@ struct ResolvedValue {
     candidates: Vec<(ResourceId, f64)>,
     /// `Q_types`: types (with superclass closure) of the candidates.
     types: Vec<ClassId>,
+}
+
+impl ResolvedValue {
+    /// Resolve one normalized value against `kb`: a `candidate_resources`
+    /// probe plus its `Q_types` closure.
+    fn resolve(kb: &Kb, norm: String) -> Self {
+        let candidates = kb.candidate_resources_normalized(&norm);
+        let types = kb.types_for_candidates(&candidates);
+        ResolvedValue {
+            norm,
+            candidates,
+            types,
+        }
+    }
 }
 
 /// `Q_rels` results for one ordered pair of distinct values.
@@ -96,7 +112,7 @@ pub struct TableResolution {
     /// `kb.plan_*` counters when a recorder is attached.
     plan_type_first: u64,
     plan_rel_first: u64,
-    /// Sink for per-tier lookup/hit/miss/fallback counters. Defaults to
+    /// Sink for per-tier lookup/hit/miss counters. Defaults to
     /// [`NoopRecorder`]; attach a live one with [`Self::with_recorder`].
     recorder: Arc<dyn Recorder>,
 }
@@ -129,15 +145,9 @@ impl TableResolution {
                         let id = match by_norm.get(&norm) {
                             Some(&id) => id,
                             None => {
-                                let candidates = kb.candidate_resources_normalized(&norm);
-                                let types = kb.types_for_candidates(&candidates);
                                 let id = u32::try_from(values.len())
                                     .expect("distinct-value space exhausted");
-                                values.push(ResolvedValue {
-                                    norm: norm.clone(),
-                                    candidates,
-                                    types,
-                                });
+                                values.push(ResolvedValue::resolve(kb, norm.clone()));
                                 refcounts.push(0);
                                 by_norm.insert(norm, id);
                                 id
@@ -165,18 +175,13 @@ impl TableResolution {
                         continue;
                     };
                     pair_rels.entry((a, b)).or_insert_with(|| {
-                        let va = &values[a as usize];
-                        let vb = &values[b as usize];
-                        let (res, plan) =
-                            kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
+                        let (rels, plan) =
+                            relations_between(kb, &values[a as usize], &values[b as usize]);
                         match plan {
                             ProbePlan::TypeFirst => plan_type_first += 1,
                             ProbePlan::RelFirst => plan_rel_first += 1,
                         }
-                        PairRels {
-                            res,
-                            lit: kb.literal_relations_for_candidates(&va.candidates, &vb.norm),
-                        }
+                        rels
                     });
                 }
             }
@@ -198,8 +203,10 @@ impl TableResolution {
     }
 
     /// Attach a recorder: subsequent tier accesses emit
-    /// `resolve.{candidates,types,pair}_{lookups,hit,miss,fallback}`
-    /// counters, and the snapshot's shape is published as gauges.
+    /// `resolve.{candidates,types,pair}_{lookups,hit}` and
+    /// `resolve.pair_miss` counters, patches emit
+    /// `resolve.values_repatched`, and the snapshot's shape is published
+    /// as gauges.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         recorder.set_gauge(Gauge::ResolveDistinctValues, self.values.len() as u64);
         recorder.set_gauge(Gauge::ResolveNonNullCells, self.non_null_cells as u64);
@@ -209,16 +216,20 @@ impl TableResolution {
         self
     }
 
-    /// Tally a live (non-memoized) probe-plan decision.
-    fn record_plan(&self, plan: ProbePlan) {
+    /// `Q_rels` for `(a, b)` from the cached candidate lists, tallying
+    /// the live (non-memoized) probe-plan decision.
+    fn compute_pair(&self, kb: &Kb, a: u32, b: u32) -> PairRels {
+        let (rels, plan) =
+            relations_between(kb, &self.values[a as usize], &self.values[b as usize]);
         self.recorder.incr(match plan {
             ProbePlan::TypeFirst => Counter::KbPlanTypeFirst,
             ProbePlan::RelFirst => Counter::KbPlanRelFirst,
         });
+        rels
     }
 
-    /// True while the KB tiers still reflect `kb` (no enrichment write has
-    /// landed since the snapshot was built).
+    /// True while the KB tiers reflect `kb`: no enrichment write has
+    /// landed since the snapshot was built or last patched.
     pub fn is_current(&self, kb: &Kb) -> bool {
         kb.version() == self.kb_version
     }
@@ -265,77 +276,46 @@ impl TableResolution {
         &self.values[id as usize].norm
     }
 
-    /// KB tier: `Kb::candidate_resources` of cell `(col, row)` — the
-    /// cached list while current, an equivalent live query once `kb` has
-    /// been enriched. `None` for null cells.
-    pub fn candidates(&self, kb: &Kb, col: usize, row: usize) -> Option<CandList<'_>> {
+    /// KB tier: `Kb::candidate_resources` of cell `(col, row)`; `None`
+    /// for null cells. The snapshot must be current for `kb`.
+    pub fn candidates(&self, kb: &Kb, col: usize, row: usize) -> Option<&[(ResourceId, f64)]> {
         let id = self.value_id(col, row)?;
         Some(self.candidates_of(kb, id))
     }
 
     /// [`Self::candidates`] by distinct-value id.
-    pub fn candidates_of(&self, kb: &Kb, id: u32) -> CandList<'_> {
+    pub fn candidates_of(&self, kb: &Kb, id: u32) -> &[(ResourceId, f64)] {
+        debug_assert!(self.is_current(kb), "candidates read from a stale snapshot");
         self.recorder.incr(Counter::ResolveCandidatesLookups);
-        let v = &self.values[id as usize];
-        if self.is_current(kb) {
-            self.recorder.incr(Counter::ResolveCandidatesHit);
-            Cow::Borrowed(v.candidates.as_slice())
-        } else {
-            self.recorder.incr(Counter::ResolveCandidatesFallback);
-            Cow::Owned(kb.candidate_resources_normalized(&v.norm))
-        }
+        self.recorder.incr(Counter::ResolveCandidatesHit);
+        &self.values[id as usize].candidates
     }
 
-    /// KB tier: `Q_types` of cell `(col, row)`; `None` for null cells.
-    pub fn types(&self, kb: &Kb, col: usize, row: usize) -> Option<Cow<'_, [ClassId]>> {
-        let id = self.value_id(col, row)?;
-        Some(self.types_of(kb, id))
-    }
-
-    /// [`Self::types`] by distinct-value id.
-    pub fn types_of(&self, kb: &Kb, id: u32) -> Cow<'_, [ClassId]> {
+    /// KB tier: `Q_types` of a distinct-value id. The snapshot must be
+    /// current for `kb`.
+    pub fn types_of(&self, kb: &Kb, id: u32) -> &[ClassId] {
+        debug_assert!(self.is_current(kb), "types read from a stale snapshot");
         self.recorder.incr(Counter::ResolveTypesLookups);
-        let v = &self.values[id as usize];
-        if self.is_current(kb) {
-            self.recorder.incr(Counter::ResolveTypesHit);
-            Cow::Borrowed(v.types.as_slice())
-        } else {
-            self.recorder.incr(Counter::ResolveTypesFallback);
-            Cow::Owned(kb.types_of_value(&v.norm))
-        }
+        self.recorder.incr(Counter::ResolveTypesHit);
+        &self.values[id as usize].types
     }
 
-    /// Pair memo: `Q_rels^1`/`Q_rels^2` between two distinct-value ids.
-    /// Served from the prebuilt memo while current and covered; computed
-    /// live (identically) for stale snapshots or uncovered combinations.
+    /// Pair memo: `Q_rels^1`/`Q_rels^2` between two distinct-value ids,
+    /// borrowed from the prebuilt memo, or computed from the cached
+    /// candidate lists for combinations beyond `pair_rows`. The snapshot
+    /// must be current for `kb`.
     pub fn pair_relations(&self, kb: &Kb, a: u32, b: u32) -> Cow<'_, PairRels> {
+        debug_assert!(
+            self.is_current(kb),
+            "pair relations read from a stale snapshot"
+        );
         self.recorder.incr(Counter::ResolvePairLookups);
-        if self.is_current(kb) {
-            if let Some(cached) = self.pair_rels.get(&(a, b)) {
-                self.recorder.incr(Counter::ResolvePairHit);
-                return Cow::Borrowed(cached);
-            }
-            // Current but uncovered (row beyond `pair_rows`): the cached
-            // candidate lists are valid, so derive from them.
-            self.recorder.incr(Counter::ResolvePairMiss);
-            let va = &self.values[a as usize];
-            let vb = &self.values[b as usize];
-            let (res, plan) = kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
-            self.record_plan(plan);
-            return Cow::Owned(PairRels {
-                res,
-                lit: kb.literal_relations_for_candidates(&va.candidates, &vb.norm),
-            });
+        if let Some(cached) = self.pair_rels.get(&(a, b)) {
+            self.recorder.incr(Counter::ResolvePairHit);
+            return Cow::Borrowed(cached);
         }
-        self.recorder.incr(Counter::ResolvePairFallback);
-        let ca = kb.candidate_resources_normalized(self.norm_of(a));
-        let cb = kb.candidate_resources_normalized(self.norm_of(b));
-        let (res, plan) = kb.relations_for_candidates_planned(&ca, &cb);
-        self.record_plan(plan);
-        Cow::Owned(PairRels {
-            res,
-            lit: kb.literal_relations_for_candidates(&ca, self.norm_of(b)),
-        })
+        self.recorder.incr(Counter::ResolvePairMiss);
+        Cow::Owned(self.compute_pair(kb, a, b))
     }
 
     // ---- Delta maintenance -------------------------------------------------
@@ -368,14 +348,8 @@ impl TableResolution {
         if let Some(&id) = self.by_norm.get(&norm) {
             return (id, false);
         }
-        let candidates = kb.candidate_resources_normalized(&norm);
-        let types = kb.types_for_candidates(&candidates);
         let id = u32::try_from(self.values.len()).expect("distinct-value space exhausted");
-        self.values.push(ResolvedValue {
-            norm: norm.clone(),
-            candidates,
-            types,
-        });
+        self.values.push(ResolvedValue::resolve(kb, norm.clone()));
         self.refcounts.push(0);
         self.by_norm.insert(norm, id);
         (id, true)
@@ -467,43 +441,30 @@ impl TableResolution {
     /// re-folds hit the pair memo instead of recomputing per fold.
     pub fn ensure_pair(&mut self, kb: &Kb, a: u32, b: u32) {
         debug_assert!(self.is_current(kb), "ensure_pair on a stale snapshot");
-        if self.pair_rels.contains_key(&(a, b)) {
-            return;
+        if !self.pair_rels.contains_key(&(a, b)) {
+            let rels = self.compute_pair(kb, a, b);
+            self.pair_rels.insert((a, b), rels);
         }
-        let (res, lit) = {
-            let va = &self.values[a as usize];
-            let vb = &self.values[b as usize];
-            let (res, plan) = kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
-            self.record_plan(plan);
-            (
-                res,
-                kb.literal_relations_for_candidates(&va.candidates, &vb.norm),
-            )
-        };
-        self.pair_rels.insert((a, b), PairRels { res, lit });
     }
 
     /// Recompute one value's KB tiers from the live KB.
     fn re_resolve(&mut self, kb: &Kb, id: u32) {
-        let norm = std::mem::take(&mut self.values[id as usize].norm);
-        let candidates = kb.candidate_resources_normalized(&norm);
-        let types = kb.types_for_candidates(&candidates);
         let v = &mut self.values[id as usize];
-        v.norm = norm;
-        v.candidates = candidates;
-        v.types = types;
+        *v = ResolvedValue::resolve(kb, std::mem::take(&mut v.norm));
     }
 
-    /// Patch the cached KB tiers for one applied [`EnrichmentDelta`],
-    /// re-resolving only the values the delta can have affected instead of
-    /// falling back to live queries on every access.
+    /// Patch the cached KB tiers for enrichment writes `kb` has already
+    /// applied (a [`katara_kb::EnrichmentDelta`]'s ops, or the tail of
+    /// [`Kb::captured_ops`]), re-resolving only the values the writes can
+    /// have affected. This is the only way a snapshot follows the KB; the
+    /// count of re-resolved values is recorded as
+    /// `resolve.values_repatched`.
     ///
-    /// `kb` must already contain the delta. When the snapshot missed
-    /// several journaled deltas, apply each in journal order; the last
-    /// call leaves the snapshot current (`kb_version` is ratcheted to
-    /// `kb.version()` on every call, so skipping one is unsound —
-    /// that is the caller's contract, enforced by the serve/CLI layers
-    /// which replay the journal tail).
+    /// The ops must be every write since the snapshot was last current,
+    /// in order: `kb_version` is ratcheted to `kb.version()` on every
+    /// call, so skipping one is unsound. Annotation patches with the
+    /// capture buffer's unread tail; the serve/CLI layers replay the
+    /// journal tail, one delta per call.
     ///
     /// The invalidation predicate is a *sound over-approximation*:
     ///
@@ -522,7 +483,7 @@ impl TableResolution {
     /// Values re-resolved by the label/type phases also invalidate every
     /// memoized pair naming them (those entries derive from the old
     /// candidate lists).
-    pub fn apply_enrichment(&mut self, kb: &Kb, delta: &EnrichmentDelta) -> EnrichmentPatch {
+    pub fn apply_enrichment(&mut self, kb: &Kb, ops: &[DeltaOp]) {
         let threshold = kb.sim_threshold();
         let live: Vec<u32> = (0..self.values.len() as u32)
             .filter(|&id| self.refcounts[id as usize] > 0)
@@ -530,7 +491,7 @@ impl TableResolution {
 
         // Phase 1: new labels re-aim value→resource matching.
         let mut dirty: HashSet<u32> = HashSet::new();
-        for op in &delta.ops {
+        for op in ops {
             let DeltaOp::Entity { label, .. } = op else {
                 continue;
             };
@@ -553,16 +514,36 @@ impl TableResolution {
         }
 
         // Phase 2: with label-phase candidates fresh, index resource →
-        // values and walk the structural ops.
+        // values and walk the structural ops. Only resources the ops name
+        // are indexed: annotation patches before every read, so this runs
+        // once per enriched row and must not cost a map of every
+        // candidate of every value.
+        let named: HashSet<ResourceId> = ops
+            .iter()
+            .flat_map(|op| match op {
+                DeltaOp::Type { resource, .. } => [Some(resource), None],
+                DeltaOp::Fact {
+                    subject, object, ..
+                } => [Some(subject), Some(object)],
+                DeltaOp::LiteralFact { subject, .. } => [Some(subject), None],
+                _ => [None, None],
+            })
+            .flatten()
+            .filter_map(|name| kb.resolve_resource_name(name))
+            .collect();
         let mut rev: HashMap<ResourceId, Vec<u32>> = HashMap::new();
-        for &id in &live {
-            for &(r, _) in &self.values[id as usize].candidates {
-                rev.entry(r).or_default().push(id);
+        if !named.is_empty() {
+            for &id in &live {
+                for &(r, _) in &self.values[id as usize].candidates {
+                    if named.contains(&r) {
+                        rev.entry(r).or_default().push(id);
+                    }
+                }
             }
         }
         let mut type_dirty: HashSet<u32> = HashSet::new();
         let mut dirty_pairs: HashSet<(u32, u32)> = HashSet::new();
-        for op in &delta.ops {
+        for op in ops {
             match op {
                 DeltaOp::Entity { .. } => {}
                 DeltaOp::Type { resource, .. } => {
@@ -612,37 +593,33 @@ impl TableResolution {
         }
 
         // Phase 3: pair entries derived from stale candidates.
-        for &(a, b) in self.pair_rels.keys() {
-            if dirty.contains(&a) || dirty.contains(&b) {
-                dirty_pairs.insert((a, b));
+        if !dirty.is_empty() {
+            for &(a, b) in self.pair_rels.keys() {
+                if dirty.contains(&a) || dirty.contains(&b) {
+                    dirty_pairs.insert((a, b));
+                }
             }
         }
-        let mut pairs_repatched = 0usize;
         for (a, b) in dirty_pairs {
-            if !self.pair_rels.contains_key(&(a, b)) {
-                continue; // uncovered pairs are computed on demand
+            // Uncovered pairs are computed on demand.
+            if self.pair_rels.contains_key(&(a, b)) {
+                let rels = self.compute_pair(kb, a, b);
+                self.pair_rels.insert((a, b), rels);
             }
-            let (res, lit) = {
-                let va = &self.values[a as usize];
-                let vb = &self.values[b as usize];
-                let (res, plan) =
-                    kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
-                self.record_plan(plan);
-                (
-                    res,
-                    kb.literal_relations_for_candidates(&va.candidates, &vb.norm),
-                )
-            };
-            self.pair_rels.insert((a, b), PairRels { res, lit });
-            pairs_repatched += 1;
         }
 
         self.kb_version = kb.version();
-        EnrichmentPatch {
-            values_repatched: dirty.len(),
-            pairs_repatched,
-        }
+        self.recorder
+            .incr_by(Counter::ResolveValuesRepatched, dirty.len() as u64);
     }
+}
+
+/// `Q_rels^1`/`Q_rels^2` between two resolved values, with the probe plan
+/// the KB chose for the resource side.
+fn relations_between(kb: &Kb, a: &ResolvedValue, b: &ResolvedValue) -> (PairRels, ProbePlan) {
+    let (res, plan) = kb.relations_for_candidates_planned(&a.candidates, &b.candidates);
+    let lit = kb.literal_relations_for_candidates(&a.candidates, &b.norm);
+    (PairRels { res, lit }, plan)
 }
 
 /// What one cell overwrite changed in the resolution.
@@ -656,19 +633,6 @@ pub struct CellPatch {
     /// be resolved against the KB.
     pub resolved: bool,
 }
-
-/// Work accounting from [`TableResolution::apply_enrichment`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnrichmentPatch {
-    /// Values whose candidate/type tiers were re-resolved.
-    pub values_repatched: usize,
-    /// Memoized pair entries recomputed.
-    pub pairs_repatched: usize,
-}
-
-/// A candidate list that is either borrowed from the snapshot or computed
-/// live on staleness.
-pub type CandList<'a> = Cow<'a, [(ResourceId, f64)]>;
 
 #[cfg(test)]
 mod tests {
@@ -716,17 +680,13 @@ mod tests {
         let res = TableResolution::build(&t, &kb, usize::MAX);
         for c in 0..t.num_columns() {
             for r in 0..t.num_rows() {
-                let cell = t.cell(r, c).as_str();
                 let cands = res.candidates(&kb, c, r);
-                let types = res.types(&kb, c, r);
-                match cell {
-                    None => {
-                        assert!(cands.is_none());
-                        assert!(types.is_none());
-                    }
+                match t.cell(r, c).as_str() {
+                    None => assert!(cands.is_none()),
                     Some(cell) => {
-                        assert_eq!(cands.unwrap().as_ref(), kb.candidate_resources(cell));
-                        assert_eq!(types.unwrap().as_ref(), kb.types_of_value(cell));
+                        assert_eq!(cands.unwrap(), kb.candidate_resources(cell));
+                        let id = res.value_id(c, r).unwrap();
+                        assert_eq!(res.types_of(&kb, id), kb.types_of_value(cell));
                     }
                 }
             }
@@ -754,30 +714,13 @@ mod tests {
     }
 
     #[test]
-    fn stale_snapshot_falls_back_to_live() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale snapshot")]
+    fn stale_reads_are_caught_in_debug_builds() {
         let (mut kb, t) = kb_and_table();
         let res = TableResolution::build(&t, &kb, usize::MAX);
-        assert!(res.is_current(&kb));
-        // Enrich: "Pretoria" becomes a capital, and Italy gains a second
-        // capital fact — the cached tiers are now stale.
-        let capital = kb.class_by_name("capital").unwrap();
-        let has_capital = kb.property_by_name("hasCapital").unwrap();
-        let pretoria = kb.add_entity("Pretoria", "Pretoria", &[capital]);
-        let italy = kb.resource_by_name("Italy").unwrap();
-        kb.add_fact(italy, has_capital, pretoria);
-        assert!(!res.is_current(&kb));
-        // Accessors now agree with the *enriched* KB, not the snapshot.
-        let (a, b) = (res.value_id(0, 0).unwrap(), res.value_id(1, 0).unwrap());
-        assert_eq!(
-            res.candidates(&kb, 0, 0).unwrap().as_ref(),
-            kb.candidate_resources("Italy")
-        );
-        assert_eq!(
-            res.pair_relations(&kb, a, b).res,
-            kb.relations_between_values("Italy", "Rome")
-        );
-        // The string tier is mutation-independent.
-        assert_eq!(res.cell_norm(0, 0), Some("italy"));
+        kb.add_entity("Pretoria", "Pretoria", &[]);
+        res.candidates(&kb, 0, 0);
     }
 
     #[test]
@@ -817,14 +760,8 @@ mod tests {
                     );
                     continue;
                 };
-                assert_eq!(
-                    edited.candidates_of(kb, a).as_ref(),
-                    fresh.candidates_of(kb, b).as_ref()
-                );
-                assert_eq!(
-                    edited.types_of(kb, a).as_ref(),
-                    fresh.types_of(kb, b).as_ref()
-                );
+                assert_eq!(edited.candidates_of(kb, a), fresh.candidates_of(kb, b));
+                assert_eq!(edited.types_of(kb, a), fresh.types_of(kb, b));
             }
         }
         // Pair tiers over every co-occurring combination.
@@ -898,17 +835,17 @@ mod tests {
         assert!(patch.resolved);
         assert_ne!(patch.new, Some(rossi));
         assert_eq!(
-            res.candidates_of(&kb, patch.new.unwrap()).as_ref(),
+            res.candidates_of(&kb, patch.new.unwrap()),
             kb.candidate_resources("Rossi")
         );
     }
 
     #[test]
     fn enrichment_patch_matches_fresh_build() {
-        use katara_kb::{DeltaOp, EnrichmentDelta};
         let (mut kb, mut t) = kb_and_table();
         t.push_text_row(&["Pretoria", "Italy", ""]);
-        let mut res = TableResolution::build(&t, &kb, usize::MAX);
+        let rec = Arc::new(katara_obs::RunRecorder::new());
+        let mut res = TableResolution::build(&t, &kb, usize::MAX).with_recorder(rec.clone());
 
         // A delta that exercises every op kind: a new capital entity whose
         // label is an existing cell value (exact-match flip for the
@@ -928,13 +865,17 @@ mod tests {
         assert!(matches!(delta.ops[0], DeltaOp::Entity { .. }));
 
         assert!(!res.is_current(&kb));
-        let patch = res.apply_enrichment(&kb, &delta);
+        res.apply_enrichment(&kb, &delta.ops);
         assert!(res.is_current(&kb));
-        assert!(patch.values_repatched >= 1, "pretoria must be repatched");
+        let repatched = rec.counter_total(Counter::ResolveValuesRepatched);
+        assert!(repatched >= 1, "pretoria must be repatched");
         assert_tiers_match(&res, &t, &kb);
 
-        // And an empty delta is a no-op that still ratchets the version.
-        let patch = res.apply_enrichment(&kb, &EnrichmentDelta::default());
-        assert_eq!(patch, EnrichmentPatch::default());
+        // An empty patch re-resolves nothing.
+        res.apply_enrichment(&kb, &[]);
+        assert_eq!(
+            rec.counter_total(Counter::ResolveValuesRepatched),
+            repatched
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! The metrics a run exports are only useful if they can be trusted, so
 //! this suite pins down the contracts the counters must satisfy:
 //!
-//! * every snapshot resolve tier balances — hits + misses + fallbacks
-//!   equals lookups, nothing double- or under-counted;
+//! * every snapshot resolve tier balances — hits + misses equals
+//!   lookups, nothing double- or under-counted;
 //! * crowd spend never exceeds the budget, and the exported counter
 //!   agrees with the degradation report;
 //! * KB probe counters count *logical* probes, so the snapshot and
@@ -140,12 +140,11 @@ fn every_resolve_tier_balances() {
         let lookups = m.counter(&format!("resolve.{tier}_lookups"));
         let hits = m.counter(&format!("resolve.{tier}_hit"));
         let misses = m.counter(&format!("resolve.{tier}_miss"));
-        let fallbacks = m.counter(&format!("resolve.{tier}_fallback"));
         assert!(lookups > 0, "{tier}: no lookups recorded at all");
         assert_eq!(
-            hits + misses + fallbacks,
+            hits + misses,
             lookups,
-            "{tier}: hits {hits} + misses {misses} + fallbacks {fallbacks} != lookups {lookups}"
+            "{tier}: hits {hits} + misses {misses} != lookups {lookups}"
         );
     }
 }

@@ -113,6 +113,14 @@ fn degenerate_answer(q: &Question) -> Answer {
 }
 
 fn degenerate_clean(table: &Table, mode: ResolveMode, threads: usize) -> String {
+    format!("{:?}", degenerate_run(table, mode, threads))
+}
+
+fn degenerate_run(
+    table: &Table,
+    mode: ResolveMode,
+    threads: usize,
+) -> Result<CleaningReport, KataraError> {
     let mut kb = toy_kb();
     let mut crowd = Crowd::new(
         CrowdConfig {
@@ -125,8 +133,41 @@ fn degenerate_clean(table: &Table, mode: ResolveMode, threads: usize) -> String 
     .expect("crowd config is valid");
     // Degenerate tables may legitimately yield no pattern at all — the
     // two modes must then fail identically, so compare the whole Result.
-    let result = Katara::new(config(mode, threads)).clean(table, &mut kb, &mut crowd);
-    format!("{result:?}")
+    Katara::new(config(mode, threads)).clean(table, &mut kb, &mut crowd)
+}
+
+/// Enrichment at an early row creates the entity "Germany"; a later
+/// row's typo "Germanyy" has no exact label match but is a fuzzy
+/// candidate of it (similarity 0.875 >= 0.7). The snapshot must be
+/// patched with that write before the later row is matched.
+#[test]
+fn enrichment_created_fuzzy_candidate_reaches_later_rows() {
+    let mut table = Table::with_opaque_columns("fuzzy-enrichment", 2);
+    for row in [
+        ["Italy", "Rome"],
+        ["France", "Paris"],
+        ["Germany", "Berlin"],
+        ["Italy", "Rome"],
+        ["Germanyy", "Berlin"],
+    ] {
+        table.push_text_row(&row);
+    }
+    let report = degenerate_run(&table, ResolveMode::Direct, 1).expect("the toy KB covers it");
+    // The input exercises the path: row 2 creates both entities, and the
+    // typo row then validates against the enriched KB alone.
+    assert_eq!(report.annotation.enriched_entities, 2);
+    assert_eq!(
+        report.annotation.tuples[4].status,
+        TupleStatus::ValidatedByKb
+    );
+    let direct = format!("{:?}", Ok::<_, KataraError>(report));
+    for &threads in &POOLS {
+        let snap = degenerate_clean(&table, ResolveMode::Snapshot, threads);
+        assert_eq!(
+            direct, snap,
+            "snapshot clean differs from direct at {threads} threads"
+        );
+    }
 }
 
 /// Palette the generated cells draw from. Index 0 is the empty string;

@@ -396,7 +396,7 @@ pub struct Kb {
     /// Monotonic mutation counter, bumped by every enrichment write that
     /// changes observable query results. Snapshot layers (see
     /// `katara-core`'s `resolve` module) record the version they were
-    /// built against and fall back to live queries when it has moved.
+    /// built against and are patched with the writes when it has moved.
     pub(crate) version: u64,
     /// When `Some`, every state-changing enrichment write is also
     /// recorded here as a [`DeltaOp`] (see
@@ -643,6 +643,14 @@ impl Kb {
     /// delta replays to exactly the same state *and version*.
     pub fn begin_delta_capture(&mut self) {
         self.capture = Some(Vec::new());
+    }
+
+    /// The writes captured so far in the open capture window, in capture
+    /// order (empty outside one). Every enrichment write that bumps
+    /// [`Kb::version`] appends exactly one op, so a reader that remembers
+    /// how many ops it has consumed can follow the KB write by write.
+    pub fn captured_ops(&self) -> &[DeltaOp] {
+        self.capture.as_deref().unwrap_or_default()
     }
 
     /// Stop recording and return everything captured since
@@ -1028,6 +1036,8 @@ mod tests {
             b.finalize()
         };
         let mut live = build();
+        let v0 = live.version();
+        assert!(live.captured_ops().is_empty(), "no capture window open");
         live.begin_delta_capture();
         let pirlo = live.add_entity("Pirlo", "Pirlo", &[]);
         let person = live.class_by_name("person").unwrap();
@@ -1039,8 +1049,14 @@ mod tests {
         // No-op re-adds must not be recorded.
         live.add_fact(pirlo, nat, italy);
         live.add_entity("Pirlo", "Pirlo", &[person]);
+        // The open window is readable, one op per version bump.
+        assert_eq!(live.captured_ops().len() as u64, live.version() - v0);
         let delta = live.take_delta();
         assert_eq!(delta.len(), 4);
+        assert!(
+            live.captured_ops().is_empty(),
+            "take_delta closes the window"
+        );
 
         let mut replayed = build();
         let changed = replayed.apply_delta(&delta).unwrap();

@@ -110,19 +110,15 @@ metric_enum! {
         RepairIndexTruncated => "repair.index_truncated",
         RepairTopkTruncations => "repair.topk_truncations",
         RepairTuplesRepaired => "repair.tuples_repaired",
-        ResolveCandidatesFallback => "resolve.candidates_fallback",
         ResolveCandidatesHit => "resolve.candidates_hit",
         ResolveCandidatesLookups => "resolve.candidates_lookups",
-        ResolveCandidatesMiss => "resolve.candidates_miss",
-        ResolvePairFallback => "resolve.pair_fallback",
         ResolvePairHit => "resolve.pair_hit",
         ResolvePairLookups => "resolve.pair_lookups",
         ResolvePairMiss => "resolve.pair_miss",
-        ResolveTypesFallback => "resolve.types_fallback",
         ResolveTypesHit => "resolve.types_hit",
         ResolveTypesLookups => "resolve.types_lookups",
-        ResolveTypesMiss => "resolve.types_miss",
         ResolveValuesEvicted => "resolve.values_evicted",
+        ResolveValuesRepatched => "resolve.values_repatched",
         ServeDegraded => "serve.degraded",
         ServeEnrichmentDropped => "serve.enrichment_dropped",
         ServeQuarantined => "serve.quarantined",

@@ -140,14 +140,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Cap on warm `TableResolution` snapshots kept alive. When full the
-/// cache is dropped wholesale — crude, but bounded and correct (the next
-/// request rebuilds).
+/// Cap on warm `TableResolution` snapshots kept alive; the least recently
+/// used one is dropped when full (the next request for it rebuilds).
 const SNAPSHOT_CACHE_CAP: usize = 64;
 
-/// Cap on warm [`DeltaSession`]s. Unlike the snapshot cache, sessions
-/// are expensive to re-bootstrap (a full clean), so eviction is LRU —
-/// only the coldest session is dropped when the cache is full. The
+/// Cap on warm [`DeltaSession`]s, LRU-evicted like the snapshots. The
 /// evicted client gets `404` on its next replay and re-bootstraps;
 /// evictions are counted under `serve.sessions_evicted`.
 const SESSION_CACHE_CAP: usize = 16;
@@ -166,25 +163,28 @@ struct DeltaEntry {
     policy: ServePolicy,
 }
 
-/// LRU cache of warm delta sessions: entries carry a last-use tick from
-/// a monotonic counter; `get` refreshes it, and `insert` at capacity
-/// evicts the entry with the oldest tick (an O(cap) scan — the cap is
-/// small and the lock is already held). Ticks are unique, so the victim
-/// is deterministic regardless of `HashMap` iteration order.
-struct SessionCache<V = Arc<Mutex<DeltaEntry>>> {
+/// The LRU cache behind both warm caches (snapshots and delta sessions):
+/// entries carry a last-use tick from a monotonic counter; `get`
+/// refreshes it, and `insert` at capacity evicts the entry with the
+/// oldest tick (an O(cap) scan — the caps are small and the lock is
+/// already held). Ticks are unique, so the victim is deterministic
+/// regardless of `HashMap` iteration order.
+struct LruCache<V> {
     map: HashMap<u64, (u64, V)>,
     tick: u64,
+    cap: usize,
 }
 
-impl<V: Clone> SessionCache<V> {
-    fn new() -> Self {
-        SessionCache {
+impl<V: Clone> LruCache<V> {
+    fn new(cap: usize) -> Self {
+        LruCache {
             map: HashMap::new(),
             tick: 0,
+            cap,
         }
     }
 
-    /// Fetch a session and mark it most recently used.
+    /// Fetch an entry and mark it most recently used.
     fn get(&mut self, key: u64) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
@@ -194,12 +194,12 @@ impl<V: Clone> SessionCache<V> {
         })
     }
 
-    /// Insert (or replace) a session; at capacity the least-recently-used
+    /// Insert (or replace) an entry; at capacity the least-recently-used
     /// entry is evicted first. Returns the evicted key, if any.
     fn insert(&mut self, key: u64, entry: V) -> Option<u64> {
         self.tick += 1;
         let mut evicted = None;
-        if !self.map.contains_key(&key) && self.map.len() >= SESSION_CACHE_CAP {
+        if !self.map.contains_key(&key) && self.map.len() >= self.cap {
             if let Some(lru) = self
                 .map
                 .iter()
@@ -214,7 +214,7 @@ impl<V: Clone> SessionCache<V> {
         evicted
     }
 
-    /// Drop a session outright (catch-up failure); not an eviction.
+    /// Drop an entry outright (catch-up failure); not an eviction.
     fn remove(&mut self, key: u64) {
         self.map.remove(&key);
     }
@@ -252,10 +252,12 @@ struct ServerState {
     /// Live connection-handler threads (drain barrier).
     conns: AtomicUsize,
     shutdown: AtomicBool,
-    snapshots: Mutex<HashMap<u64, Arc<TableResolution>>>,
+    /// Warm snapshots, keyed by `(body hash, KB version)`; LRU-evicted
+    /// at capacity.
+    snapshots: Mutex<LruCache<Arc<TableResolution>>>,
     /// Warm incremental sessions (`POST /delta`), keyed by the
     /// bootstrap's snapshot key; LRU-evicted at capacity.
-    sessions: Mutex<SessionCache>,
+    sessions: Mutex<LruCache<Arc<Mutex<DeltaEntry>>>>,
     /// Recently journaled enrichment deltas as (pre-apply KB version,
     /// delta), in application order. `/delta` sessions replay the suffix
     /// past their own version to catch up to the advancing base.
@@ -366,8 +368,8 @@ impl Server {
                 in_flight: AtomicUsize::new(0),
                 conns: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
-                snapshots: Mutex::new(HashMap::new()),
-                sessions: Mutex::new(SessionCache::new()),
+                snapshots: Mutex::new(LruCache::new(SNAPSHOT_CACHE_CAP)),
+                sessions: Mutex::new(LruCache::new(SESSION_CACHE_CAP)),
                 recent_deltas: Mutex::new(VecDeque::new()),
                 journal: journal.map(|journal| {
                     Mutex::new(JournalState {
@@ -651,19 +653,27 @@ fn handle_clean(state: &ServerState, req: &Request) -> (u16, String) {
     let (mut kb, base_version) = clone_base_kb(state);
 
     // Warm snapshot cache, keyed by (body hash, KB version). `cold`
-    // bypasses it (the bench measures exactly this difference).
+    // bypasses it (the bench measures exactly this difference). Every
+    // snapshot records into the server recorder, so `GET /metrics`
+    // reports the `resolve.*` tiers of cached and cold runs alike.
     let candidates_cfg = CandidateConfig {
         threads: state.config.threads,
         ..CandidateConfig::default()
     };
+    let build = || {
+        Arc::new(
+            TableResolution::build(&table, &kb, candidates_cfg.max_rows)
+                .with_recorder(state.recorder.clone()),
+        )
+    };
     let key = snapshot_key(req.body.as_slice(), base_version);
     let resolution: Arc<TableResolution> = if req.query_param("snapshot") == Some("cold") {
         rec.incr(Counter::ServeSnapshotMiss);
-        Arc::new(TableResolution::build(&table, &kb, candidates_cfg.max_rows))
+        build()
     } else {
         let cached = {
-            let cache = state.snapshots.lock().unwrap_or_else(|e| e.into_inner());
-            cache.get(&key).cloned()
+            let mut cache = state.snapshots.lock().unwrap_or_else(|e| e.into_inner());
+            cache.get(key)
         };
         match cached {
             Some(res) => {
@@ -672,11 +682,8 @@ fn handle_clean(state: &ServerState, req: &Request) -> (u16, String) {
             }
             None => {
                 rec.incr(Counter::ServeSnapshotMiss);
-                let res = Arc::new(TableResolution::build(&table, &kb, candidates_cfg.max_rows));
+                let res = build();
                 let mut cache = state.snapshots.lock().unwrap_or_else(|e| e.into_inner());
-                if cache.len() >= SNAPSHOT_CACHE_CAP {
-                    cache.clear();
-                }
                 cache.insert(key, Arc::clone(&res));
                 res
             }
@@ -1306,8 +1313,8 @@ mod tests {
             in_flight: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            snapshots: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(SessionCache::new()),
+            snapshots: Mutex::new(LruCache::new(SNAPSHOT_CACHE_CAP)),
+            sessions: Mutex::new(LruCache::new(SESSION_CACHE_CAP)),
             recent_deltas: Mutex::new(VecDeque::new()),
             journal: journal.map(|journal| {
                 Mutex::new(JournalState {
@@ -1409,6 +1416,25 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_cache_evicts_least_recently_used() {
+        let st = state();
+        let body = |i: usize| format!("{SOCCER_CSV}Extra{i},Italy,Rome\n");
+        let hits = || st.recorder.counter_total(Counter::ServeSnapshotHit);
+        for i in 0..SNAPSHOT_CACHE_CAP {
+            route(&st, &post_clean(&body(i), &[]));
+        }
+        assert_eq!(hits(), 0, "distinct bodies all miss");
+        // Re-posting the first body makes it the most recently used, so
+        // the overflowing body evicts the second one, not the first.
+        route(&st, &post_clean(&body(0), &[]));
+        route(&st, &post_clean(&body(SNAPSHOT_CACHE_CAP), &[]));
+        route(&st, &post_clean(&body(0), &[]));
+        assert_eq!(hits(), 2, "the refreshed first body survived the overflow");
+        route(&st, &post_clean(&body(1), &[]));
+        assert_eq!(hits(), 2, "the coldest body was evicted");
+    }
+
+    #[test]
     fn admission_control_sheds_beyond_the_cap() {
         let st = state();
         // Fill every slot by hand, then route: the request sheds.
@@ -1462,6 +1488,14 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"schema\": \"katara-run-metrics/v1\""));
         assert!(body.contains("\"serve.queue_depth\": 0"), "gauge drained");
+        // The clean's snapshot records into the server recorder.
+        let lookups = body
+            .split("\"resolve.candidates_lookups\": ")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse::<u64>().ok())
+            .expect("resolve.candidates_lookups is exported");
+        assert!(lookups > 0, "one clean must record snapshot lookups");
     }
 
     #[test]
@@ -1638,7 +1672,7 @@ mod tests {
 
     #[test]
     fn session_cache_evicts_least_recently_used() {
-        let mut cache = SessionCache::<u32>::new();
+        let mut cache = LruCache::<u32>::new(SESSION_CACHE_CAP);
         for key in 0..SESSION_CACHE_CAP as u64 {
             assert_eq!(cache.insert(key, key as u32), None, "cache not yet full");
         }

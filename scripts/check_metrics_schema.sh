@@ -8,8 +8,8 @@
 #     what makes the section byte-diffable across runs);
 #   * one representative counter per pipeline phase, so a metrics file
 #     from a run that silently skipped instrumentation fails loudly;
-#   * the snapshot-tier accounting invariant
-#     hits + misses + fallbacks == lookups for every resolve tier;
+#   * the snapshot-tier accounting invariant hits + misses == lookups
+#     for every resolve tier (only the pair tier has misses);
 #   * a "nondeterministic" section with an integer "threads".
 #
 # Usage: check_metrics_schema.sh FILE...
@@ -60,16 +60,16 @@ for file in "$@"; do
     echo "$file: counter keys are not sorted" >&2
     ok=0
   fi
-  # Snapshot-tier invariant: hits + misses + fallbacks == lookups.
+  # Snapshot-tier invariant: hits + misses == lookups.
   for tier in candidates types pair; do
     if ! awk -v tier="$tier" '
       $0 ~ "\"resolve\\." tier "_" { gsub(/[",:]/, ""); v[$1] = $2 }
       END {
         h = v["resolve." tier "_hit"]; m = v["resolve." tier "_miss"]
-        f = v["resolve." tier "_fallback"]; l = v["resolve." tier "_lookups"]
-        exit (h + m + f == l) ? 0 : 1
+        l = v["resolve." tier "_lookups"]
+        exit (h + m == l) ? 0 : 1
       }' "$file"; then
-      echo "$file: resolve.$tier tier violates hits+misses+fallbacks == lookups" >&2
+      echo "$file: resolve.$tier tier violates hits+misses == lookups" >&2
       ok=0
     fi
   done
