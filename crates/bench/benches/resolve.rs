@@ -1,12 +1,10 @@
-//! Bench for the **shared KB query snapshot** (DESIGN.md §5e) and the
+//! Bench for the **shared KB query snapshot** (DESIGN.md §5e) over the
 //! **columnar triple store** (DESIGN.md §5i): a full end-to-end cleaning
-//! run with the [`TableResolution`] built inside the run ("cold", on the
-//! default columnar backend), the same cold run on the legacy hash-map
-//! backend ("cold_legacy"), and the run with the resolution injected
-//! pre-built ("snapshot"). Emits `BENCH_resolve.json` at the workspace
-//! root with the wall times, the speedups, the fixture's distinct-value
-//! ratio, the KB triple count, the columnar index-build cost, and the
-//! probe-planner counters (`kb.plan_type_first` / `kb.plan_rel_first`)
+//! run with the [`TableResolution`] built inside the run ("cold") and the
+//! run with the resolution injected pre-built ("snapshot"). Emits
+//! `BENCH_resolve.json` at the workspace root with the wall times, the
+//! speedup, the fixture's distinct-value ratio, the KB triple count, and
+//! the probe-planner counters (`kb.plan_type_first` / `kb.plan_rel_first`)
 //! inside the embedded metrics (quick mode via `KATARA_BENCH_QUICK=1`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -47,19 +45,6 @@ fn clean_cold(f: &ResolveFixture) {
     );
 }
 
-/// The same cold run against a pre-converted legacy-backend KB — the
-/// baseline the columnar engine must beat end to end.
-fn clean_cold_legacy(f: &ResolveFixture, legacy_kb: &katara_kb::Kb) {
-    let katara = Katara::new(bench_config());
-    let mut kb = legacy_kb.clone();
-    let mut crowd = resolve_crowd(f);
-    black_box(
-        katara
-            .clean(&f.table.table, &mut kb, &mut crowd)
-            .expect("cold legacy clean"),
-    );
-}
-
 fn clean_snapshot(f: &ResolveFixture, res: &TableResolution) {
     let katara = Katara::new(bench_config());
     let mut kb = f.kb.clone();
@@ -90,14 +75,6 @@ fn bench_resolve(c: &mut Criterion) {
         fixture.errors,
         res.distinct_ratio()
     );
-    let legacy_kb = fixture.kb.with_legacy_backend();
-    // Time the columnar index build (legacy → sorted arenas + stats)
-    // once: the one-off cost the gallop probes amortize.
-    let build_start = std::time::Instant::now();
-    let rebuilt = legacy_kb.with_columnar_backend();
-    let index_build_ms = build_start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(rebuilt.backend_name(), "columnar");
-
     let mut group = c.benchmark_group("resolve_snapshot");
     group.sample_size(10);
     group.bench_function("cold", |b| b.iter(|| clean_cold(&fixture)));
@@ -106,11 +83,7 @@ fn bench_resolve(c: &mut Criterion) {
 
     let mut report = perf::ResolveReport::new("resolve", &fixture.name, res.distinct_ratio());
     report.triples = triples as u64;
-    report.index_build_ms = index_build_ms;
     report.measure("cold", perf::sweep_iters(), || clean_cold(&fixture));
-    report.measure("cold_legacy", perf::sweep_iters(), || {
-        clean_cold_legacy(&fixture, &legacy_kb)
-    });
     report.measure("snapshot", perf::sweep_iters(), || {
         clean_snapshot(&fixture, &res)
     });

@@ -167,7 +167,6 @@ mod tests {
             "only {} classes",
             kb.num_classes()
         );
-        assert_eq!(kb.backend_name(), "columnar");
     }
 
     #[test]

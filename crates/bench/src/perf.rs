@@ -237,10 +237,6 @@ pub struct ResolveReport {
     /// Total triples in the fixture KB (type assertions + resource facts
     /// + literal facts) — records the scale the probe timings ran at.
     pub triples: u64,
-    /// Wall time of one columnar index build (sort + arena assembly) from
-    /// the legacy representation, in milliseconds — the one-off cost the
-    /// gallop probes amortize.
-    pub index_build_ms: f64,
     /// Measured configurations, in measurement order.
     pub samples: Vec<ResolveSample>,
     /// Run metrics from one untimed instrumented run of the workload,
@@ -256,7 +252,6 @@ impl ResolveReport {
             fixture: fixture.to_string(),
             distinct_ratio,
             triples: 0,
-            index_build_ms: 0.0,
             samples: Vec::new(),
             metrics: None,
         }
@@ -304,10 +299,6 @@ impl ResolveReport {
             self.distinct_ratio
         ));
         out.push_str(&format!("  \"triples\": {},\n", self.triples));
-        out.push_str(&format!(
-            "  \"index_build_ms\": {:.3},\n",
-            self.index_build_ms
-        ));
         if let Some(m) = &self.metrics {
             out.push_str("  \"metrics\": ");
             out.push_str(&m.to_json_object(2));
@@ -792,7 +783,6 @@ mod tests {
     fn resolve_report_shape_and_speedups() {
         let mut r = ResolveReport::new("resolve", "toy", 0.25);
         r.triples = 1_234;
-        r.index_build_ms = 5.5;
         r.measure("cold", 2, || {
             std::thread::sleep(std::time::Duration::from_millis(2))
         });
@@ -810,7 +800,6 @@ mod tests {
             "\"parallelism\"",
             "\"distinct_ratio\"",
             "\"triples\": 1234",
-            "\"index_build_ms\": 5.500",
             "\"samples\"",
             "\"config\"",
             "\"cold\"",

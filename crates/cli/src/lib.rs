@@ -4,10 +4,10 @@
 //! katara clean    --table data.csv --kb kb.nt [--crowd MODE] [--k N]
 //!                 [--out repaired.csv] [--enriched-kb out.nt]
 //!                 [--max-questions N] [--strict|--lenient] [--threads N]
-//!                 [--direct-resolve] [--metrics OUT.json] [--trace]
-//!                 [--delta EDITS.csv] [--crowd-agg plurality|dawid-skene]
+//!                 [--metrics OUT.json] [--trace] [--delta EDITS.csv]
+//!                 [--crowd-agg plurality|dawid-skene]
 //! katara discover --table data.csv --kb kb.nt [--k N] [--strict|--lenient]
-//!                 [--threads N] [--direct-resolve]
+//!                 [--threads N]
 //! katara kb-stats --kb kb.nt [--strict|--lenient]
 //! katara serve    --kb kb.nt [--addr HOST:PORT] [--crowd MODE]
 //!                 [--max-in-flight N] [--threads N] [--k N]
@@ -43,20 +43,14 @@
 //! machine's available parallelism). Results are byte-identical for every
 //! thread count — `--threads` is purely a performance knob.
 //!
-//! `--direct-resolve` disables the shared KB query snapshot (see
-//! `katara_core::resolve`) and issues live KB lookups per stage as the
-//! pre-snapshot code did. Output is byte-identical either way — like
-//! `--threads`, this is purely a performance knob (kept for A/B
-//! measurement and as an escape hatch).
-//!
 //! `--metrics OUT.json` attaches a [`katara_obs::RunRecorder`] to the
 //! pipeline and writes the run's [`katara_obs::RunMetrics`] — KB probe
 //! counts, snapshot-tier hit rates, crowd spend, repair statistics — as
 //! stable JSON. The `"deterministic"` section is byte-identical across
-//! `--threads` values and across `--direct-resolve`; wall times and the
-//! span tree live in the separate `"nondeterministic"` section. `--trace`
-//! prints the per-phase span tree (human-readable, quantized wall times)
-//! to stderr; the two flags compose and neither perturbs the repairs.
+//! `--threads` values; wall times and the span tree live in the separate
+//! `"nondeterministic"` section. `--trace` prints the per-phase span tree
+//! (human-readable, quantized wall times) to stderr; the two flags
+//! compose and neither perturbs the repairs.
 //!
 //! `--crowd-agg` picks how replicated crowd answers are aggregated:
 //! `plurality` (the default — the paper's majority vote) or
@@ -362,8 +356,6 @@ pub enum Command {
         /// Worker threads for the discovery/repair hot paths; `None`
         /// resolves `KATARA_THREADS` / available parallelism.
         threads: Option<usize>,
-        /// `true` disables the shared query snapshot (`--direct-resolve`).
-        direct_resolve: bool,
         /// Where to write run metrics JSON (`--metrics`); `None` skips
         /// instrumentation entirely (the no-op recorder).
         metrics: Option<String>,
@@ -390,8 +382,6 @@ pub enum Command {
         /// Worker threads for candidate discovery; `None` resolves
         /// `KATARA_THREADS` / available parallelism.
         threads: Option<usize>,
-        /// `true` disables the shared query snapshot (`--direct-resolve`).
-        direct_resolve: bool,
     },
     /// KB statistics.
     KbStats {
@@ -444,7 +434,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "katara clean|discover|kb-stats|serve --table T.csv --kb KB.nt \
              [--crowd interactive|trust|skeptic|facts:FILE] [--k N] \
              [--out OUT.csv] [--enriched-kb OUT.nt] [--max-questions N] \
-             [--strict|--lenient] [--threads N] [--direct-resolve] \
+             [--strict|--lenient] [--threads N] \
              [--metrics OUT.json] [--trace] [--delta EDITS.csv] \
              [--crowd-agg plurality|dawid-skene] \
              [--addr HOST:PORT] [--max-in-flight N] [--default-deadline-ms N] \
@@ -463,7 +453,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut max_questions = None;
     let mut ingest = IngestChoice::default();
     let mut threads = None;
-    let mut direct_resolve = false;
     let mut metrics = None;
     let mut trace = false;
     let mut addr = "127.0.0.1:8743".to_string();
@@ -508,7 +497,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 }
                 threads = Some(n);
             }
-            "--direct-resolve" => direct_resolve = true,
             "--metrics" => metrics = Some(value()?),
             "--trace" => trace = true,
             "--addr" => addr = value()?,
@@ -558,7 +546,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             max_questions,
             ingest,
             threads,
-            direct_resolve,
             metrics,
             trace,
             delta,
@@ -573,7 +560,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             k,
             ingest,
             threads,
-            direct_resolve,
         }),
         "kb-stats" => Ok(Command::KbStats {
             kb: need(kb, "kb")?,
@@ -726,7 +712,6 @@ pub fn run(cmd: Command) -> Result<RunStatus, CliError> {
             k,
             ingest,
             threads,
-            direct_resolve,
         } => {
             let (kb, kb_report) = load_kb(&kb, ingest)?;
             let (table, table_report) = load_table(&table, ingest)?;
@@ -745,11 +730,7 @@ pub fn run(cmd: Command) -> Result<RunStatus, CliError> {
                 threads: resolve_threads(threads),
                 ..CandidateConfig::default()
             };
-            let cands = if direct_resolve {
-                discover_candidates_direct(&table, &kb, &candidate_config)
-            } else {
-                discover_candidates(&table, &kb, &candidate_config)
-            };
+            let cands = discover_candidates(&table, &kb, &candidate_config);
             let patterns = discover_topk(&table, &kb, &cands, k, &DiscoveryConfig::default());
             if patterns.is_empty() {
                 println!("no table pattern found — the KB does not cover this table");
@@ -775,7 +756,6 @@ pub fn run(cmd: Command) -> Result<RunStatus, CliError> {
             max_questions,
             ingest,
             threads,
-            direct_resolve,
             metrics,
             trace,
             delta,
@@ -831,11 +811,6 @@ pub fn run(cmd: Command) -> Result<RunStatus, CliError> {
                     ..CandidateConfig::default()
                 },
                 threads: pool,
-                resolve: if direct_resolve {
-                    ResolveMode::Direct
-                } else {
-                    ResolveMode::Snapshot
-                },
                 recorder: obs_recorder,
                 ..KataraConfig::default()
             };
@@ -1137,34 +1112,6 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         assert!(matches!(parse_args(&args), Err(CliError::Usage(_))));
-    }
-
-    #[test]
-    fn parse_args_direct_resolve() {
-        let args: Vec<String> = [
-            "clean",
-            "--table",
-            "t.csv",
-            "--kb",
-            "k.nt",
-            "--direct-resolve",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        match parse_args(&args).unwrap() {
-            Command::Clean { direct_resolve, .. } => assert!(direct_resolve),
-            other => panic!("{other:?}"),
-        }
-        // Defaults to the shared snapshot.
-        let args: Vec<String> = ["discover", "--table", "t.csv", "--kb", "k.nt"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        match parse_args(&args).unwrap() {
-            Command::Discover { direct_resolve, .. } => assert!(!direct_resolve),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

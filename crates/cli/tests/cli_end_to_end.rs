@@ -167,7 +167,6 @@ fn discover_and_stats_run() {
         k: 3,
         ingest: IngestChoice::Strict,
         threads: None,
-        direct_resolve: false,
     })
     .unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -191,7 +190,6 @@ fn trust_mode_enriches_everything() {
         max_questions: None,
         ingest: IngestChoice::Strict,
         threads: None,
-        direct_resolve: false,
         metrics: None,
         trace: false,
         delta: None,
@@ -224,7 +222,6 @@ fn exhausted_budget_degrades_instead_of_failing() {
         max_questions: Some(0),
         ingest: IngestChoice::Strict,
         threads: None,
-        direct_resolve: false,
         metrics: None,
         trace: false,
         delta: None,
@@ -334,7 +331,6 @@ fn strict_ingestion_rejects_the_same_corrupted_inputs() {
         max_questions: None,
         ingest: IngestChoice::Strict,
         threads: None,
-        direct_resolve: false,
         metrics: None,
         trace: false,
         delta: None,

@@ -206,8 +206,9 @@ pub fn annotate<O: Oracle>(
 /// which must be current for `kb` ([`TableResolution::is_current`]).
 /// KB enrichment mutates `kb` mid-run; before every later read the
 /// snapshot is patched with the writes, never read stale, so results
-/// are identical to the direct path. The patches go to a private copy,
-/// made on the first write; `resolution` itself is never mutated.
+/// are identical to the live-query [`annotate`]. The patches go to a
+/// private copy, made on the first write; `resolution` itself is never
+/// mutated.
 pub fn annotate_resolved<O: Oracle>(
     table: &Table,
     pattern: &TablePattern,
@@ -276,7 +277,7 @@ struct SnapshotView<'s, 'r> {
 }
 
 impl SnapshotView<'_, '_> {
-    /// The snapshot, patched up to `kb`'s version; `None` in direct mode.
+    /// The snapshot, patched up to `kb`'s version; `None` without one.
     fn current(&mut self, kb: &Kb) -> Option<&TableResolution> {
         let snapshot = self.snapshot.as_deref_mut()?;
         if !snapshot.is_current(kb) {

@@ -35,8 +35,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use katara_exec::{par_map_indexed, par_map_indexed_with, Threads};
-use katara_kb::{sim, ClassId, Kb, PropertyId};
+use katara_exec::{par_map_indexed, Threads};
+use katara_kb::{ClassId, Kb, PropertyId};
 use katara_obs::{Counter, NoopRecorder, Recorder};
 use katara_table::Table;
 
@@ -89,16 +89,15 @@ pub struct CandidateConfig {
     pub min_rel_support_fraction: f64,
     /// Keep at most this many candidates per ranked list.
     pub max_candidates: usize,
-    /// Worker threads for the per-column / per-pair KB-query loops (the
-    /// paper distributes candidate generation for the 316K-row Person
-    /// table, §7.1). The output is byte-identical for every thread count;
-    /// with one thread the historical sequential loop runs, sharing one
-    /// `Q_types`/`Q_rels` memo cache across all columns and pairs.
+    /// Worker threads for the per-column / per-pair scans (the paper
+    /// distributes candidate generation for the 316K-row Person table,
+    /// §7.1). Every worker reads the same shared [`TableResolution`], so
+    /// the output is byte-identical for every thread count.
     pub threads: Threads,
     /// Sink for `discovery.{type,rel}_probes` counters. Probes are counted
     /// per non-null cell / cell pair — the *logical* KB query sites — so
-    /// totals are identical across thread counts and across the snapshot
-    /// vs direct paths, regardless of memoization.
+    /// totals are identical across thread counts, regardless of how many
+    /// distinct values the snapshot resolved.
     pub recorder: Arc<dyn Recorder>,
 }
 
@@ -146,22 +145,19 @@ impl CandidateSet {
 /// Discover the ranked candidate lists for `table` against `kb`.
 ///
 /// Builds a [`TableResolution`] snapshot (each distinct normalized cell
-/// value resolved once, pair relations prememoized) and runs the
-/// snapshot-path scan — byte-identical to the historical direct-query
-/// path ([`discover_candidates_direct`]) at every thread count, because
-/// both accumulate the same per-row query results in the same order.
+/// value resolved once, pair relations prememoized) and scans it with
+/// [`discover_candidates_resolved`].
 pub fn discover_candidates(table: &Table, kb: &Kb, config: &CandidateConfig) -> CandidateSet {
     let resolution =
         TableResolution::build(table, kb, config.max_rows).with_recorder(config.recorder.clone());
     discover_candidates_resolved(table, kb, &resolution, config)
 }
 
-/// Snapshot-path discovery over a prebuilt [`TableResolution`] for the
-/// same `(table, kb)` pair. Workers share the read-only snapshot instead
-/// of rebuilding per-worker `Q_types`/`Q_rels` memo maps, so the plain
-/// order-preserving `par_map_indexed` suffices. The snapshot must be
-/// current for `kb`; value pairs beyond its row cap are computed from
-/// its cached candidate lists (slower, identical output).
+/// Discovery over a prebuilt [`TableResolution`] for the same
+/// `(table, kb)` pair. Workers share the read-only snapshot through the
+/// order-preserving `par_map_indexed`. The snapshot must be current for
+/// `kb`; value pairs beyond its row cap are computed from its cached
+/// candidate lists (slower, identical output).
 pub fn discover_candidates_resolved(
     table: &Table,
     kb: &Kb,
@@ -210,121 +206,6 @@ pub fn discover_candidates_resolved(
             .incr_by(Counter::DiscoveryRelProbes, non_null as u64);
         rank_rels(kb, acc, non_null, config)
     });
-    let mut pair_rels: HashMap<(usize, usize), Vec<RelCandidate>> = HashMap::new();
-    for (pi, ranked) in ranked_pairs.into_iter().enumerate() {
-        if !ranked.is_empty() {
-            pair_rels.insert(pairs[pi], ranked);
-        }
-    }
-
-    CandidateSet {
-        col_types,
-        pair_rels,
-        rows_scanned: rows,
-    }
-}
-
-/// The historical direct-query discovery path: no shared snapshot, each
-/// worker memoizes `Q_types` (per distinct cell string) and `Q_rels` (per
-/// distinct string pair) locally and results are merged back in
-/// column/pair order. Kept as the reference implementation for the
-/// snapshot equivalence suite and for cold-path benchmarking; the output
-/// is byte-identical to [`discover_candidates`] for every thread count.
-pub fn discover_candidates_direct(
-    table: &Table,
-    kb: &Kb,
-    config: &CandidateConfig,
-) -> CandidateSet {
-    let rows = table.num_rows().min(config.max_rows);
-    let ncols = table.num_columns();
-
-    // ---- Types per column ------------------------------------------------
-    // Parallel across columns; per-worker cache of Q_types per distinct
-    // normalized value (the KB normalizes its query argument, and
-    // `sim::normalize` is idempotent, so querying by the norm is
-    // result-identical to querying by any raw spelling of it).
-    let num_classes = kb.num_classes().max(1) as f64;
-    let col_types: Vec<Vec<TypeCandidate>> = par_map_indexed_with(
-        config.threads,
-        ncols,
-        HashMap::<String, Vec<ClassId>>::new,
-        |type_cache, c| {
-            let mut counts: HashMap<String, usize> = HashMap::new();
-            let mut non_null = 0usize;
-            for r in 0..rows {
-                let Some(cell) = table.cell(r, c).as_str() else {
-                    continue;
-                };
-                non_null += 1;
-                *counts.entry(sim::normalize(cell)).or_insert(0) += 1;
-            }
-            let mut groups: Vec<(String, usize)> = counts.into_iter().collect();
-            groups.sort_unstable();
-            let mut acc: HashMap<ClassId, (f64, usize)> = HashMap::new();
-            for (norm, count) in &groups {
-                if !type_cache.contains_key(norm) {
-                    type_cache.insert(norm.clone(), kb.types_of_value(norm));
-                }
-                fold_type_group(kb, num_classes, &type_cache[norm], *count, &mut acc);
-            }
-            config
-                .recorder
-                .incr_by(Counter::DiscoveryTypeProbes, non_null as u64);
-            rank_types(kb, acc, non_null, config)
-        },
-    );
-
-    // ---- Relationships per ordered pair -----------------------------------
-    // Parallel across ordered pairs (same i-outer/j-inner order as the
-    // historical double loop); per-worker cache of Q_rels per distinct
-    // normalized value pair: (resource-object, literal-object) relations.
-    type RelCacheEntry = (Vec<PropertyId>, Vec<PropertyId>);
-    let num_props = kb.num_properties().max(1) as f64;
-    let pairs: Vec<(usize, usize)> = (0..ncols)
-        .flat_map(|i| (0..ncols).filter(move |&j| j != i).map(move |j| (i, j)))
-        .collect();
-    let ranked_pairs: Vec<Vec<RelCandidate>> = par_map_indexed_with(
-        config.threads,
-        pairs.len(),
-        HashMap::<(String, String), RelCacheEntry>::new,
-        |rel_cache, pi| {
-            let (i, j) = pairs[pi];
-            let mut counts: HashMap<(String, String), usize> = HashMap::new();
-            let mut non_null = 0usize;
-            for r in 0..rows {
-                let (Some(a), Some(b)) = (table.cell(r, i).as_str(), table.cell(r, j).as_str())
-                else {
-                    continue;
-                };
-                non_null += 1;
-                *counts
-                    .entry((sim::normalize(a), sim::normalize(b)))
-                    .or_insert(0) += 1;
-            }
-            let mut groups: Vec<((String, String), usize)> = counts.into_iter().collect();
-            groups.sort_unstable();
-            let mut acc: HashMap<PropertyId, (f64, usize, bool)> = HashMap::new();
-            for (key, count) in &groups {
-                if !rel_cache.contains_key(key) {
-                    rel_cache.insert(
-                        key.clone(),
-                        (
-                            kb.relations_between_values(&key.0, &key.1),
-                            kb.relations_to_literal(&key.0, &key.1),
-                        ),
-                    );
-                }
-                let (res_rels, lit_rels) = &rel_cache[key];
-                fold_rel_group(kb, num_props, res_rels, lit_rels, *count, &mut acc);
-            }
-            config
-                .recorder
-                .incr_by(Counter::DiscoveryRelProbes, non_null as u64);
-            rank_rels(kb, acc, non_null, config)
-        },
-    );
-    // Deterministic merge in pair order (insertion order is irrelevant to
-    // `HashMap` equality, but keeping it makes the walk reproducible).
     let mut pair_rels: HashMap<(usize, usize), Vec<RelCandidate>> = HashMap::new();
     for (pi, ranked) in ranked_pairs.into_iter().enumerate() {
         if !ranked.is_empty() {
@@ -516,7 +397,63 @@ fn min_support(non_null: usize, fraction: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use katara_kb::KbBuilder;
+    use katara_kb::{sim, KbBuilder};
+    use std::collections::BTreeMap;
+
+    /// The direct-query reference: each distinct normalized value (and
+    /// value pair) is queried live against the KB — no snapshot — and
+    /// folded in the canonical order.
+    fn discover_candidates_direct(
+        table: &Table,
+        kb: &Kb,
+        config: &CandidateConfig,
+    ) -> CandidateSet {
+        let rows = table.num_rows().min(config.max_rows);
+        let ncols = table.num_columns();
+        let num_classes = kb.num_classes().max(1) as f64;
+        let num_props = kb.num_properties().max(1) as f64;
+        let norm = |r: usize, c: usize| table.cell(r, c).as_str().map(sim::normalize);
+        let col_types = (0..ncols)
+            .map(|c| {
+                let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+                for n in (0..rows).filter_map(|r| norm(r, c)) {
+                    *counts.entry(n).or_insert(0) += 1;
+                }
+                let mut acc = HashMap::new();
+                for (n, &count) in &counts {
+                    fold_type_group(kb, num_classes, &kb.types_of_value(n), count, &mut acc);
+                }
+                rank_types(kb, acc, counts.values().sum(), config)
+            })
+            .collect();
+        let mut pair_rels = HashMap::new();
+        for (i, j) in (0..ncols).flat_map(|i| (0..ncols).map(move |j| (i, j))) {
+            if i == j {
+                continue;
+            }
+            let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
+            for r in 0..rows {
+                if let (Some(a), Some(b)) = (norm(r, i), norm(r, j)) {
+                    *counts.entry((a, b)).or_insert(0) += 1;
+                }
+            }
+            let mut acc = HashMap::new();
+            for ((a, b), &count) in &counts {
+                let res = kb.relations_between_values(a, b);
+                let lit = kb.relations_to_literal(a, b);
+                fold_rel_group(kb, num_props, &res, &lit, count, &mut acc);
+            }
+            let ranked = rank_rels(kb, acc, counts.values().sum(), config);
+            if !ranked.is_empty() {
+                pair_rels.insert((i, j), ranked);
+            }
+        }
+        CandidateSet {
+            col_types,
+            pair_rels,
+            rows_scanned: rows,
+        }
+    }
 
     /// A KB where `country` is rarer (hence more discriminative) than
     /// `place`, and two relationship kinds exist.
@@ -678,7 +615,7 @@ mod tests {
         }
     }
 
-    /// The snapshot path (default) and the historical direct path must be
+    /// The snapshot path and the direct-query reference must be
     /// byte-identical, including on typos, literals, and null cells.
     #[test]
     fn snapshot_path_matches_direct_path() {

@@ -82,8 +82,8 @@ pub mod prelude {
         annotate, annotate_resolved, AnnotationConfig, AnnotationResult, Category, TupleStatus,
     };
     pub use crate::candidates::{
-        discover_candidates, discover_candidates_direct, discover_candidates_resolved,
-        CandidateConfig, CandidateSet, RelCandidate, TypeCandidate,
+        discover_candidates, discover_candidates_resolved, CandidateConfig, CandidateSet,
+        RelCandidate, TypeCandidate,
     };
     pub use crate::delta::DeltaSession;
     pub use crate::error::KataraError;
@@ -95,7 +95,7 @@ pub mod prelude {
         generate_repairs, generate_repairs_resolved, topk_repairs, topk_repairs_resolved, Repair,
         RepairConfig, RepairIndex,
     };
-    pub use crate::resolve::{ResolveMode, TableResolution};
+    pub use crate::resolve::TableResolution;
     pub use crate::scoring::{score_pattern, ScoringConfig};
     pub use crate::validation::{
         validate_patterns, SchedulingStrategy, ValidationConfig, ValidationOutcome,

@@ -253,7 +253,7 @@ impl TablePattern {
     /// When `resolution` is `Some((snapshot, row_idx))`, cell candidate
     /// lookups come from the shared [`TableResolution`] instead of fresh
     /// label-index probes; `row` must then be row `row_idx` of the table
-    /// the snapshot was built from. `None` reproduces the direct path.
+    /// the snapshot was built from. `None` queries the KB live.
     pub fn match_tuple_resolved(
         &self,
         kb: &Kb,

@@ -12,14 +12,12 @@ use katara_obs::{Counter, Gauge, NoopRecorder, Recorder, Span};
 use katara_table::Table;
 
 use crate::annotation::{annotate_resolved_cached, AnnotationConfig, AnnotationResult};
-use crate::candidates::{
-    discover_candidates, discover_candidates_direct, discover_candidates_resolved, CandidateConfig,
-};
+use crate::candidates::{discover_candidates, discover_candidates_resolved, CandidateConfig};
 use crate::error::KataraError;
 use crate::pattern::TablePattern;
 use crate::rank_join::{discover_topk_with_stats, DiscoveryConfig, DiscoveryStats};
 use crate::repair::{generate_repairs_resolved, Repair, RepairConfig, RepairIndex};
-use crate::resolve::{ResolveMode, TableResolution};
+use crate::resolve::TableResolution;
 use crate::validation::{validate_patterns, SchedulingStrategy, ValidationConfig};
 
 /// End-to-end configuration.
@@ -46,12 +44,6 @@ pub struct KataraConfig {
     /// the CLI sets both from one `--threads` flag.) Results are
     /// byte-identical for every thread count.
     pub threads: Threads,
-    /// How cell→KB lookups are served: [`ResolveMode::Snapshot`] (the
-    /// default) builds one read-only [`TableResolution`] per run and
-    /// shares it across all stages and workers; [`ResolveMode::Direct`]
-    /// reproduces the historical per-stage live queries. Output is
-    /// byte-identical either way.
-    pub resolve: ResolveMode,
     /// Observability sink for the whole run: phase spans, KB-probe and
     /// snapshot-tier counters, crowd-spend accounting. The pipeline
     /// injects this recorder into every stage config it runs (the
@@ -81,7 +73,6 @@ impl Default for KataraConfig {
             repair: RepairConfig::default(),
             repairs_k: 3,
             threads: Threads::auto(),
-            resolve: ResolveMode::default(),
             recorder: Arc::new(NoopRecorder),
             deadline: Deadline::none(),
         }
@@ -246,10 +237,9 @@ impl Katara {
     /// `kb` ([`TableResolution::is_current`]). Injecting one skips the
     /// snapshot build (the cold half of the resolve bench measures
     /// exactly that build); pass `None` for normal operation, where the
-    /// snapshot is built here once per run when
-    /// [`KataraConfig::resolve`] is [`ResolveMode::Snapshot`]. The
-    /// injected snapshot is never mutated: annotation patches a private
-    /// copy when enrichment writes to `kb`.
+    /// snapshot is built here once per run. The injected snapshot is
+    /// never mutated: annotation patches a private copy when enrichment
+    /// writes to `kb`.
     pub fn clean_with_resolution<O: Oracle>(
         &self,
         table: &Table,
@@ -262,8 +252,8 @@ impl Katara {
 
     /// [`clean_with_resolution`](Self::clean_with_resolution) over a
     /// caller-held copy-on-write snapshot. `None` is filled with the
-    /// run's own build in snapshot mode; on success the snapshot is
-    /// current for the enriched `kb`.
+    /// run's own build; on success the snapshot is current for the
+    /// enriched `kb`.
     pub(crate) fn clean_patching<O: Oracle>(
         &self,
         table: &Table,
@@ -317,24 +307,22 @@ impl Katara {
         let mut asked_mark: CrowdStats = stats_before.clone();
         // (0) The shared query snapshot: adopt the injected one, or
         // build it once for the whole run.
-        {
+        let snapshot = {
             let _span = Span::enter(rec.as_ref(), "resolve");
-            if snapshot.is_none() && self.config.resolve == ResolveMode::Snapshot {
-                let built = TableResolution::build(table, kb, self.config.candidates.max_rows)
-                    .with_recorder(rec.clone());
-                *snapshot = Some(Cow::Owned(built));
-            }
-        }
+            snapshot.get_or_insert_with(|| {
+                Cow::Owned(
+                    TableResolution::build(table, kb, self.config.candidates.max_rows)
+                        .with_recorder(rec.clone()),
+                )
+            })
+        };
         if dl.expired() {
             return Err(KataraError::DeadlineExceeded { phase: "discover" });
         }
         // (1) Pattern discovery.
         let (patterns, discovery_stats) = {
             let _span = Span::enter(rec.as_ref(), "discover");
-            let cands = match snapshot.as_deref() {
-                Some(res) => discover_candidates_resolved(table, kb, res, &candidates_cfg),
-                None => discover_candidates_direct(table, kb, &candidates_cfg),
-            };
+            let cands = discover_candidates_resolved(table, kb, snapshot, &candidates_cfg);
             discover_topk_with_stats(table, kb, &cands, self.config.patterns_k, &discovery_cfg)
         };
         if patterns.is_empty() {
@@ -411,7 +399,7 @@ impl Katara {
                 kb,
                 crowd,
                 &annotation_cfg,
-                snapshot.as_mut(),
+                Some(&mut *snapshot),
                 None,
             )
         };
@@ -460,7 +448,7 @@ impl Katara {
                     self.config.repairs_k,
                     &repair_cfg,
                     self.config.threads,
-                    snapshot.as_deref(),
+                    Some(&**snapshot),
                 )
             }
         };

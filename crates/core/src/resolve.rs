@@ -39,18 +39,6 @@ use katara_kb::{ClassId, DeltaOp, Kb, ProbePlan, PropertyId, ResourceId};
 use katara_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use katara_table::Table;
 
-/// How the pipeline resolves cells against the KB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResolveMode {
-    /// Build one [`TableResolution`] per `(table, KB)` pair up front and
-    /// share it across discovery, annotation, and repair.
-    #[default]
-    Snapshot,
-    /// Query the KB directly from every stage — the historical path, kept
-    /// for equivalence testing and cold-vs-warm benchmarking.
-    Direct,
-}
-
 /// One distinct normalized cell value, resolved once.
 #[derive(Debug, Clone)]
 struct ResolvedValue {

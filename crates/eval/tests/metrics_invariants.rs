@@ -8,8 +8,9 @@
 //!   lookups, nothing double- or under-counted;
 //! * crowd spend never exceeds the budget, and the exported counter
 //!   agrees with the degradation report;
-//! * KB probe counters count *logical* probes, so the snapshot and
-//!   direct resolve paths report identical numbers;
+//! * KB probe counters count *logical* probes — one per non-null cell
+//!   or same-row cell pair the discovery scan visits — not snapshot
+//!   cache traffic;
 //! * the deterministic section of [`RunMetrics`] is byte-identical
 //!   across worker-pool sizes — the CI gate's contract, asserted here
 //!   at the library level.
@@ -98,16 +99,11 @@ fn oracle() -> impl Oracle {
 
 /// One instrumented end-to-end clean; returns the metrics snapshot and
 /// the cleaning report.
-fn instrumented_clean(
-    mode: ResolveMode,
-    threads: usize,
-    budget: Budget,
-) -> (RunMetrics, CleaningReport) {
+fn instrumented_clean(threads: usize, budget: Budget) -> (RunMetrics, CleaningReport) {
     let (mut kb, table) = setting();
     let rec = Arc::new(RunRecorder::new());
     let pool = Threads::fixed(threads);
     let config = KataraConfig {
-        resolve: mode,
         threads: pool,
         candidates: CandidateConfig {
             threads: pool,
@@ -135,7 +131,7 @@ fn instrumented_clean(
 
 #[test]
 fn every_resolve_tier_balances() {
-    let (m, _) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::unlimited());
+    let (m, _) = instrumented_clean(1, Budget::unlimited());
     for tier in ["candidates", "types", "pair"] {
         let lookups = m.counter(&format!("resolve.{tier}_lookups"));
         let hits = m.counter(&format!("resolve.{tier}_hit"));
@@ -153,7 +149,7 @@ fn every_resolve_tier_balances() {
 fn crowd_spend_respects_the_budget_and_matches_the_report() {
     // Unlimited budget: the counter mirrors the degradation report and
     // no budget gauge is exported (there is no budget to report).
-    let (m, report) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::unlimited());
+    let (m, report) = instrumented_clean(1, Budget::unlimited());
     let asked = m.counter("crowd.questions_asked");
     assert!(asked > 0, "the run asked no questions");
     assert_eq!(asked as usize, report.degradation.questions_asked);
@@ -168,7 +164,7 @@ fn crowd_spend_respects_the_budget_and_matches_the_report() {
     // Capped budget: spend never exceeds it and the remaining gauge
     // balances against the asked + denied counters.
     let cap = 3u64;
-    let (m, report) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::questions(cap as usize));
+    let (m, report) = instrumented_clean(1, Budget::questions(cap as usize));
     let asked = m.counter("crowd.questions_asked");
     assert!(
         asked <= cap,
@@ -194,7 +190,7 @@ fn budget_stopped_counter_agrees_with_the_report() {
     // dead budget truncated — the early-stop counter must fire exactly
     // when the report says the budget ran dry, so metrics and report
     // never tell different stories.
-    let (m, report) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::unlimited());
+    let (m, report) = instrumented_clean(1, Budget::unlimited());
     assert!(!report.degradation.budget_exhausted);
     assert_eq!(m.counter("repair.budget_stopped"), 0);
 
@@ -202,7 +198,7 @@ fn budget_stopped_counter_agrees_with_the_report() {
     // is guaranteed to die mid-run.
     let appetite = report.degradation.questions_asked;
     assert!(appetite >= 2, "setting must ask at least two questions");
-    let (m, report) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::questions(appetite - 1));
+    let (m, report) = instrumented_clean(1, Budget::questions(appetite - 1));
     assert!(
         report.degradation.budget_exhausted,
         "an under-provisioned budget must die mid-run"
@@ -215,23 +211,25 @@ fn budget_stopped_counter_agrees_with_the_report() {
 }
 
 #[test]
-fn snapshot_and_direct_modes_report_identical_probe_counts() {
-    let (snap, _) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::unlimited());
-    let (direct, _) = instrumented_clean(ResolveMode::Direct, 1, Budget::unlimited());
-    // The probe counters count logical KB work, not cache traffic, so
-    // the resolve mode — a pure performance knob — must not move them.
-    for probe in ["discovery.type_probes", "discovery.rel_probes"] {
-        assert!(snap.counter(probe) > 0, "{probe}: no probes recorded");
-        assert_eq!(
-            snap.counter(probe),
-            direct.counter(probe),
-            "{probe}: snapshot and direct modes disagree"
-        );
-    }
-    // Same discovery work either way.
-    for c in ["discovery.heap_pops", "discovery.patterns_scored"] {
-        assert_eq!(snap.counter(c), direct.counter(c), "{c} differs");
-    }
+fn discovery_probes_count_non_null_cells_and_cell_pairs() {
+    // The probe counters count logical KB work, not snapshot-cache
+    // traffic: one type probe per non-null scanned cell, one relation
+    // probe per ordered pair of non-null cells sharing a row.
+    let (m, _) = instrumented_clean(1, Budget::unlimited());
+    let (_, table) = setting();
+    let rows = table.num_rows().min(CandidateConfig::default().max_rows);
+    let filled: Vec<u64> = (0..rows)
+        .map(|r| {
+            (0..table.num_columns())
+                .filter(|&c| table.cell(r, c).as_str().is_some())
+                .count() as u64
+        })
+        .collect();
+    let cells: u64 = filled.iter().sum();
+    let pairs: u64 = filled.iter().map(|&n| n * n.saturating_sub(1)).sum();
+    assert!(pairs > 0, "the setting has no cell pairs");
+    assert_eq!(m.counter("discovery.type_probes"), cells);
+    assert_eq!(m.counter("discovery.rel_probes"), pairs);
 }
 
 #[test]
@@ -310,10 +308,10 @@ fn delta_edit_accounting_balances() {
 
 #[test]
 fn deterministic_section_is_identical_across_thread_counts() {
-    let (base, _) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::unlimited());
+    let (base, _) = instrumented_clean(1, Budget::unlimited());
     let baseline = base.deterministic_json(0);
     for threads in [2usize, 8] {
-        let (m, _) = instrumented_clean(ResolveMode::Snapshot, threads, Budget::unlimited());
+        let (m, _) = instrumented_clean(threads, Budget::unlimited());
         assert_eq!(
             baseline,
             m.deterministic_json(0),

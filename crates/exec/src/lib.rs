@@ -13,10 +13,6 @@
 //!
 //! * work items are *index ranges*, claimed atomically but **written back
 //!   by index**, so the output `Vec` order equals the input order;
-//! * per-worker scratch state (e.g. the candidate-discovery `Q_types` /
-//!   `Q_rels` memo caches) is created by a caller-supplied `init` closure
-//!   and only ever used as a *cache of pure functions* — state affects
-//!   speed, never values;
 //! * a panicking worker aborts the whole map and re-raises the panic at
 //!   the call site, so errors cannot be silently dropped.
 
@@ -206,35 +202,26 @@ impl std::fmt::Display for Threads {
     }
 }
 
-/// Order-preserving parallel map over `0..n` with per-worker scratch
-/// state.
+/// Order-preserving parallel map over `0..n`.
 ///
-/// `init` builds one state value per worker; `f(&mut state, i)` computes
-/// the result for index `i`. Indexes are claimed dynamically (an atomic
-/// counter), so uneven item costs balance across workers, but the output
-/// `Vec` is always `[f(_, 0), f(_, 1), …, f(_, n-1)]` in index order.
-///
-/// Determinism contract (callers rely on it, tests assert it): `f` must
-/// compute a value independent of the scratch state's *history* — the
-/// state may memoize pure lookups, never accumulate results. Under that
-/// contract the output is byte-identical for every thread count.
+/// `f(i)` computes the result for index `i`. Indexes are claimed
+/// dynamically (an atomic counter), so uneven item costs balance across
+/// workers, but the output `Vec` is always `[f(0), f(1), …, f(n-1)]` in
+/// index order — byte-identical for every thread count.
 ///
 /// With one worker (or `n <= 1`) no thread is spawned and items run in
-/// index order against a single state — the exact sequential loop, with
-/// the state shared across all items as a sequential memo cache would be.
+/// index order — the exact sequential loop.
 ///
-/// Panics in `f` or `init` are re-raised at the call site once all
-/// workers have stopped.
-pub fn par_map_indexed_with<S, R, I, F>(threads: Threads, n: usize, init: I, f: F) -> Vec<R>
+/// Panics in `f` are re-raised at the call site once all workers have
+/// stopped.
+pub fn par_map_indexed<R, F>(threads: Threads, n: usize, f: F) -> Vec<R>
 where
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
     let workers = threads.get().min(n);
     if workers <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
+        return (0..n).map(f).collect();
     }
 
     let next = AtomicUsize::new(0);
@@ -243,14 +230,13 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = init();
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        local.push((i, f(&mut state, i)));
+                        local.push((i, f(i)));
                     }
                     local
                 })
@@ -283,15 +269,6 @@ where
         .collect()
 }
 
-/// [`par_map_indexed_with`] without per-worker state.
-pub fn par_map_indexed<R, F>(threads: Threads, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed_with(threads, n, || (), |(), i| f(i))
-}
-
 /// Order-preserving parallel map over a slice.
 pub fn par_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
 where
@@ -305,7 +282,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn output_order_matches_input_order() {
@@ -330,38 +306,6 @@ mod tests {
         assert!(out.is_empty());
         let out = par_map_indexed(Threads::fixed(8), 1, |i| i + 41);
         assert_eq!(out, vec![41]);
-    }
-
-    #[test]
-    fn worker_state_is_per_worker_and_results_state_independent() {
-        // The state memoizes a pure function; results must not depend on
-        // which worker (hence which cache) served an index.
-        let inits = AtomicUsize::new(0);
-        let out = par_map_indexed_with(
-            Threads::fixed(4),
-            64,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                std::collections::HashMap::<usize, usize>::new()
-            },
-            |cache, i| *cache.entry(i % 7).or_insert_with(|| (i % 7) * 10),
-        );
-        let expected: Vec<usize> = (0..64).map(|i| (i % 7) * 10).collect();
-        assert_eq!(out, expected);
-        // One state per spawned worker, no more.
-        assert!(inits.load(Ordering::Relaxed) <= 4);
-    }
-
-    #[test]
-    fn single_thread_shares_one_state_across_all_items() {
-        let inits = AtomicUsize::new(0);
-        let _ = par_map_indexed_with(
-            Threads::single(),
-            10,
-            || inits.fetch_add(1, Ordering::Relaxed),
-            |_, i| i,
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 1);
     }
 
     #[test]

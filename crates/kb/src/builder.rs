@@ -8,15 +8,17 @@
 use std::collections::HashMap;
 
 use crate::coherence::CoherenceTable;
+use crate::columnar::{CsrRows, NormIndex, PairCsr};
 use crate::error::KbError;
 use crate::ids::{ClassId, LiteralId, PropertyId, ResourceId};
 use crate::ingest::{BrokenEdge, KbAudit, LabelCollision};
 use crate::interner::Interner;
 use crate::label_index::LabelIndex;
 use crate::ontology::Hierarchy;
+use crate::plan::CardStats;
 use crate::query::Object;
 use crate::sim;
-use crate::store::{ColumnarFacts, FactStore, Kb, LegacyFacts};
+use crate::store::Kb;
 use crate::DEFAULT_SIM_THRESHOLD;
 
 /// Builder for [`Kb`].
@@ -328,21 +330,15 @@ impl KbBuilder {
             &class_sizes,
         );
 
-        // Convert the build-time layout into the columnar backend: sorted
-        // dictionary-encoded arenas plus the frozen cardinality stats the
-        // probe planner reads.
-        let legacy = LegacyFacts {
-            types_closure,
-            class_entities,
-            out_edges,
-            in_edges,
-            rr_index,
-            rl_index,
-            prop_subjects,
-            prop_objects,
-            literal_norm,
-        };
-        let facts = FactStore::Columnar(ColumnarFacts::from_legacy(legacy, n));
+        // Pack the build-time rows into the columnar arenas. Hash-map
+        // iteration order is laundered through sorts, so the arenas — and
+        // every query answered from them — are deterministic.
+        let rr_pairs = sorted_by_key(rr_index);
+        let rr = PairCsr::from_sorted_pairs(n, &rr_pairs);
+        let rl_pairs = sorted_by_key(rl_index);
+        let rl = PairCsr::from_sorted_pairs(n, &rl_pairs);
+        let norms = sorted_by_key(literal_norm);
+        let stats = CardStats::new(rr.num_pairs(), rr.num_subjects_with_pairs());
 
         Kb {
             name: self.name,
@@ -355,7 +351,16 @@ impl KbBuilder {
             class_hier: self.class_hier,
             prop_hier: self.prop_hier,
             direct_types: self.direct_types,
-            facts,
+            types_closure: CsrRows::from_rows(&types_closure),
+            class_entities: CsrRows::from_rows(&class_entities),
+            out_edges: CsrRows::from_rows(&out_edges),
+            in_edges: CsrRows::from_rows(&in_edges),
+            rr,
+            rl,
+            prop_subjects: CsrRows::from_rows(&prop_subjects),
+            prop_objects: CsrRows::from_rows(&prop_objects),
+            literal_norm: NormIndex::from_sorted(norms),
+            stats,
             coherence,
             sim_threshold: self.sim_threshold,
             fact_count,
@@ -363,6 +368,13 @@ impl KbBuilder {
             capture: None,
         }
     }
+}
+
+/// A hash map's entries sorted by key — the order the arenas pack in.
+fn sorted_by_key<K: Ord, V>(map: HashMap<K, V>) -> Vec<(K, V)> {
+    let mut pairs: Vec<(K, V)> = map.into_iter().collect();
+    pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    pairs
 }
 
 /// Does a dense id space with `len` assigned ids lack room for `margin`

@@ -1,10 +1,10 @@
 //! Dictionary-encoded columnar storage for the fact indexes.
 //!
-//! The legacy store keeps one heap allocation per entity row
-//! (`Vec<Vec<…>>`) and one per fact key (`HashMap<(s,o), Vec<PropertyId>>`).
-//! At Yago scale that is millions of small allocations, ~100 bytes of
-//! overhead per triple, and a pointer chase per probe. This module packs
-//! the same data into sorted columnar arenas:
+//! One heap allocation per entity row (`Vec<Vec<…>>`) and per fact key
+//! (`HashMap<(s,o), Vec<PropertyId>>`) would cost millions of small
+//! allocations at Yago scale, ~100 bytes of overhead per triple, and a
+//! pointer chase per probe. `finalize` builds that row form once and
+//! this module packs it into sorted columnar arenas:
 //!
 //! * [`CsrRows`] — dense-id rows in CSR form (one `off` array + one flat
 //!   `data` arena). Backs the type closure, ENT(T)/subENT(P)/objENT(P)
@@ -20,8 +20,9 @@
 //! Every structure carries a copy-on-write *overlay* so §6.1 enrichment
 //! writes stay possible after finalize: a mutated row/key is shadowed by a
 //! full private copy, base arenas are never touched. Read paths check the
-//! (tiny, usually empty) overlay first, so query results — including
-//! first-occurrence orderings — stay bit-identical to the legacy store.
+//! (tiny, usually empty) overlay first, so query results keep their
+//! first-assertion order. A write that would not change the row or key
+//! (re-asserting what it already holds) leaves it unshadowed.
 
 use crate::ids::{LiteralId, PropertyId, ResourceId};
 
@@ -96,23 +97,16 @@ impl<T: Copy> CsrRows<T> {
         }
     }
 
-    /// Number of rows in the base arena (overlay-only rows excluded).
-    pub(crate) fn base_rows(&self) -> usize {
-        self.off.len() - 1
-    }
-
-    /// The highest row index with any content, plus one.
-    pub(crate) fn row_span(&self) -> usize {
-        let over = self.overlay.last().map_or(0, |&(i, _)| i as usize + 1);
-        self.base_rows().max(over)
-    }
-
     /// The row at `i` (empty when never written and outside the base).
     pub(crate) fn row(&self, i: usize) -> &[T] {
-        let key = i as u32;
-        if let Ok(k) = self.overlay.binary_search_by_key(&key, |&(r, _)| r) {
-            return &self.overlay[k].1;
+        match self.overlay.binary_search_by_key(&(i as u32), |&(r, _)| r) {
+            Ok(k) => &self.overlay[k].1,
+            Err(_) => self.base_row(i),
         }
+    }
+
+    /// Row `i` of the base arena (empty past it).
+    fn base_row(&self, i: usize) -> &[T] {
         if i + 1 < self.off.len() {
             &self.data[self.off[i] as usize..self.off[i + 1] as usize]
         } else {
@@ -125,20 +119,18 @@ impl<T: Copy> CsrRows<T> {
         self.shadow_row(i).push(x);
     }
 
-    /// Append `x` to row `i` unless already present (linear scan —
-    /// enrichment-path semantics, identical to the legacy `push_unique`).
+    /// Append `x` to row `i` unless already present. A duplicate leaves
+    /// the row unshadowed.
     pub(crate) fn push_unique(&mut self, i: usize, x: T)
     where
         T: PartialEq,
     {
-        let row = self.shadow_row(i);
-        // Overlay rows are tiny enrichment tails: a linear scan here is
-        // the legacy semantics, not the §5e query-path dedup the
-        // quadratic-dedup lint polices.
-        let dup = row.contains(&x);
-        if !dup {
-            row.push(x);
+        // A linear scan of one row on the enrichment path, not the §5e
+        // query-path dedup the quadratic-dedup lint polices.
+        if self.row(i).contains(&x) {
+            return;
         }
+        self.push(i, x);
     }
 
     /// Membership test against a row whose BASE content is sorted (type
@@ -148,15 +140,9 @@ impl<T: Copy> CsrRows<T> {
     where
         T: Ord,
     {
-        let key = i as u32;
-        if let Ok(k) = self.overlay.binary_search_by_key(&key, |&(r, _)| r) {
-            return self.overlay[k].1.contains(&x);
-        }
-        if i + 1 < self.off.len() {
-            let row = &self.data[self.off[i] as usize..self.off[i + 1] as usize];
-            gallop_search(row, &x).is_ok()
-        } else {
-            false
+        match self.overlay.binary_search_by_key(&(i as u32), |&(r, _)| r) {
+            Ok(k) => self.overlay[k].1.contains(&x),
+            Err(_) => gallop_search(self.base_row(i), &x).is_ok(),
         }
     }
 
@@ -165,22 +151,12 @@ impl<T: Copy> CsrRows<T> {
         let k = match self.overlay.binary_search_by_key(&key, |&(r, _)| r) {
             Ok(k) => k,
             Err(k) => {
-                let base: Vec<T> = if i + 1 < self.off.len() {
-                    self.data[self.off[i] as usize..self.off[i + 1] as usize].to_vec()
-                } else {
-                    Vec::new()
-                };
+                let base = self.base_row(i).to_vec();
                 self.overlay.insert(k, (key, base));
                 k
             }
         };
         &mut self.overlay[k].1
-    }
-
-    /// Materialize every row back into `Vec<Vec<T>>` form (legacy layout),
-    /// padded/truncated to exactly `rows` rows.
-    pub(crate) fn to_rows(&self, rows: usize) -> Vec<Vec<T>> {
-        (0..rows).map(|i| self.row(i).to_vec()).collect()
     }
 }
 
@@ -251,13 +227,9 @@ impl<B: Copy + Ord> PairCsr<B> {
 
     /// The properties asserted for `(s, b)` (empty when the key is absent).
     pub(crate) fn get(&self, s: ResourceId, b: B) -> &[PropertyId] {
-        if let Ok(k) = self.overlay.binary_search_by_key(&(s, b), |&(key, _)| key) {
-            return &self.overlay[k].1;
-        }
-        let (objs, base) = self.adjacency(s);
-        match objs.binary_search(&b) {
-            Ok(i) => self.props_at(base + i),
-            Err(_) => &[],
+        match self.overlay.binary_search_by_key(&(s, b), |&(key, _)| key) {
+            Ok(k) => &self.overlay[k].1,
+            Err(_) => self.base_props(s, b),
         }
     }
 
@@ -280,8 +252,11 @@ impl<B: Copy + Ord> PairCsr<B> {
     }
 
     /// Idempotently assert `p` for key `(s, b)`, shadowing the base entry
-    /// on first write. Returns whether the assertion was new.
+    /// on its first new assertion. Returns whether the assertion was new.
     pub(crate) fn insert(&mut self, s: ResourceId, b: B, p: PropertyId) -> bool {
+        if self.get(s, b).contains(&p) {
+            return false;
+        }
         let k = match self.overlay.binary_search_by_key(&(s, b), |&(key, _)| key) {
             Ok(k) => k,
             Err(k) => {
@@ -290,12 +265,8 @@ impl<B: Copy + Ord> PairCsr<B> {
                 k
             }
         };
-        let props = &mut self.overlay[k].1;
-        let dup = props.contains(&p);
-        if !dup {
-            props.push(p);
-        }
-        !dup
+        self.overlay[k].1.push(p);
+        true
     }
 
     fn base_props(&self, s: ResourceId, b: B) -> &[PropertyId] {
@@ -304,29 +275,6 @@ impl<B: Copy + Ord> PairCsr<B> {
             Ok(i) => self.props_at(base + i),
             Err(_) => &[],
         }
-    }
-
-    /// Iterate every `(key, props)` pair — base entries with their overlay
-    /// shadows applied, plus overlay-only keys. Order is unspecified.
-    pub(crate) fn iter_pairs(&self) -> impl Iterator<Item = ((ResourceId, B), &[PropertyId])> {
-        let base = (0..self.off.len().saturating_sub(1)).flat_map(move |s| {
-            let lo = self.off[s] as usize;
-            let hi = self.off[s + 1] as usize;
-            (lo..hi).filter_map(move |k| {
-                let key = (ResourceId::from_index(s), self.objs[k]);
-                if self
-                    .overlay
-                    .binary_search_by_key(&key, |&(kk, _)| kk)
-                    .is_ok()
-                {
-                    None // shadowed: reported from the overlay instead
-                } else {
-                    Some((key, self.props_at(k)))
-                }
-            })
-        });
-        let over = self.overlay.iter().map(|(key, ps)| (*key, ps.as_slice()));
-        base.chain(over)
     }
 }
 
@@ -373,8 +321,12 @@ impl NormIndex {
         }
     }
 
-    /// Record that `lid` spells `norm` (idempotent, legacy append order).
+    /// Record that `lid` spells `norm` (idempotent, append order). A
+    /// duplicate leaves the entry unshadowed.
     pub(crate) fn insert(&mut self, norm: &str, lid: LiteralId) {
+        if self.get(norm).contains(&lid) {
+            return;
+        }
         let k = match self.overlay.binary_search_by(|(key, _)| (**key).cmp(norm)) {
             Ok(k) => k,
             Err(k) => {
@@ -387,31 +339,7 @@ impl NormIndex {
                 k
             }
         };
-        let ids = &mut self.overlay[k].1;
-        let dup = ids.contains(&lid);
-        if !dup {
-            ids.push(lid);
-        }
-    }
-
-    /// Iterate every `(norm, lids)` entry with overlay shadows applied.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &[LiteralId])> {
-        let base = self.keys.iter().enumerate().filter_map(move |(i, key)| {
-            if self
-                .overlay
-                .binary_search_by(|(k, _)| (**k).cmp(key))
-                .is_ok()
-            {
-                None
-            } else {
-                Some((
-                    &**key,
-                    &self.lids[self.off[i] as usize..self.off[i + 1] as usize],
-                ))
-            }
-        });
-        let over = self.overlay.iter().map(|(k, v)| (&**k, v.as_slice()));
-        base.chain(over)
+        self.overlay[k].1.push(lid);
     }
 }
 
@@ -461,25 +389,24 @@ mod tests {
     fn csr_rows_round_trip_and_overlay() {
         let rows = vec![vec![1u32, 2, 3], vec![], vec![9]];
         let mut csr = CsrRows::from_rows(&rows);
-        assert_eq!(csr.base_rows(), 3);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(csr.row(i), row.as_slice());
         }
         assert_eq!(csr.row(7), &[] as &[u32]);
+        // A duplicate push_unique shadows nothing.
+        csr.push_unique(0, 2);
+        assert!(csr.overlay.is_empty());
         // Shadow a base row, then an implicit row past the base.
         csr.push(1, 42);
-        csr.push_unique(0, 2); // dup: no change
         csr.push_unique(0, 4);
+        csr.push_unique(0, 4); // dup of an overlay entry: no change
         csr.push(5, 8);
         assert_eq!(csr.row(0), &[1, 2, 3, 4]);
         assert_eq!(csr.row(1), &[42]);
         assert_eq!(csr.row(2), &[9]); // untouched base row
+        assert_eq!(csr.row(4), &[] as &[u32]);
         assert_eq!(csr.row(5), &[8]);
-        assert_eq!(csr.row_span(), 6);
-        assert_eq!(
-            csr.to_rows(6),
-            vec![vec![1, 2, 3, 4], vec![42], vec![9], vec![], vec![], vec![8]]
-        );
+        assert_eq!(csr.overlay.len(), 3);
     }
 
     #[test]
@@ -512,8 +439,10 @@ mod tests {
         assert_eq!(adj, &[rid(2), rid(5)]);
         assert_eq!(idx.props_at(base), &[pid(7), pid(3)]);
 
-        // Enrichment: extend an existing key, then create a new one.
+        // Re-asserting a base entry is a no-op that shadows nothing.
+        assert!(!idx.insert(rid(0), rid(5), pid(1)));
         assert!(!idx.has_overlay());
+        // Enrichment: extend an existing key, then create a new one.
         assert!(idx.insert(rid(0), rid(2), pid(9)));
         assert!(!idx.insert(rid(0), rid(2), pid(3))); // dup
         assert!(idx.insert(rid(7), rid(7), pid(2))); // past base subjects
@@ -522,23 +451,12 @@ mod tests {
         assert_eq!(idx.get(rid(7), rid(7)), &[pid(2)]);
         // Untouched keys still resolve from the base.
         assert_eq!(idx.get(rid(2), rid(1)), &[pid(0)]);
-
-        // iter_pairs: every key exactly once, shadows applied.
-        let mut all: Vec<_> = idx.iter_pairs().map(|(k, ps)| (k, ps.to_vec())).collect();
-        all.sort_by_key(|&(k, _)| k);
-        assert_eq!(
-            all,
-            vec![
-                ((rid(0), rid(2)), vec![pid(7), pid(3), pid(9)]),
-                ((rid(0), rid(5)), vec![pid(1)]),
-                ((rid(2), rid(1)), vec![pid(0)]),
-                ((rid(7), rid(7)), vec![pid(2)]),
-            ]
-        );
+        assert_eq!(idx.get(rid(0), rid(5)), &[pid(1)]);
+        assert_eq!(idx.overlay.len(), 2);
     }
 
     #[test]
-    fn norm_index_get_insert_iter() {
+    fn norm_index_get_and_insert() {
         let lid = LiteralId;
         let mut idx = NormIndex::from_sorted(vec![
             ("1.78".to_string(), vec![lid(0), lid(2)]),
@@ -547,23 +465,14 @@ mod tests {
         assert_eq!(idx.get("1.78"), &[lid(0), lid(2)]);
         assert_eq!(idx.get("rome"), &[lid(1)]);
         assert_eq!(idx.get("paris"), &[] as &[LiteralId]);
+        idx.insert("1.78", lid(2)); // dup of a base entry: shadows nothing
+        assert!(idx.overlay.is_empty());
         idx.insert("rome", lid(5));
         idx.insert("rome", lid(5)); // dup
         idx.insert("paris", lid(3));
         assert_eq!(idx.get("rome"), &[lid(1), lid(5)]);
         assert_eq!(idx.get("paris"), &[lid(3)]);
-        let mut all: Vec<_> = idx
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_vec()))
-            .collect();
-        all.sort();
-        assert_eq!(
-            all,
-            vec![
-                ("1.78".to_string(), vec![lid(0), lid(2)]),
-                ("paris".to_string(), vec![lid(3)]),
-                ("rome".to_string(), vec![lid(1), lid(5)]),
-            ]
-        );
+        assert_eq!(idx.get("1.78"), &[lid(0), lid(2)]);
+        assert_eq!(idx.overlay.len(), 2);
     }
 }

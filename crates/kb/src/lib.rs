@@ -26,9 +26,7 @@
 //! The fact indexes live in a **dictionary-encoded columnar triple
 //! store** (sorted CSR arenas over interned `u32` ids, gallop-searched;
 //! copy-on-write overlays absorb enrichment) with a cost-based
-//! type-first/rel-first probe planner; a legacy hash-map backend is kept
-//! behind the same `FactStore` contract as the equivalence baseline. See
-//! DESIGN.md §5i.
+//! type-first/rel-first probe planner. See DESIGN.md §5i.
 //!
 //! # Quick example
 //!

@@ -5,9 +5,9 @@
 use crate::columnar::gallop_search;
 use crate::dedup::OrderedDedup;
 use crate::ids::{ClassId, LiteralId, PropertyId, ResourceId};
-use crate::plan::ProbePlan;
+use crate::plan::{self, ProbePlan};
 use crate::sim;
-use crate::store::{FactStore, Kb};
+use crate::store::Kb;
 
 /// The object position of a triple: a resource or a literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,7 +65,7 @@ impl Kb {
     /// Asserted properties from `a` to `b`, *without* superproperty
     /// expansion.
     pub fn asserted_relations(&self, a: ResourceId, b: ResourceId) -> &[PropertyId] {
-        self.facts.rr_get(a, b)
+        self.rr.get(a, b)
     }
 
     /// Properties (including superproperties of asserted ones) from
@@ -123,7 +123,13 @@ impl Kb {
         ca: &[(ResourceId, f64)],
         cb: &[(ResourceId, f64)],
     ) -> (Vec<PropertyId>, ProbePlan) {
-        let plan = self.facts.choose_plan(ca.len(), cb.len());
+        // Enrichment overlay entries pin per-pair probes: merge joins over
+        // the base adjacency runs would miss overlay-only keys.
+        let plan = if self.rr.has_overlay() {
+            ProbePlan::TypeFirst
+        } else {
+            plan::choose(ca.len(), cb.len(), &self.stats)
+        };
         let mut out = Vec::new();
         let mut seen = OrderedDedup::new();
         match plan {
@@ -143,8 +149,7 @@ impl Kb {
     /// (sorted, overlay-free) base adjacency run against the object
     /// candidates sorted by id, then emit matches in `cb` position order
     /// so the output is byte-identical to the per-pair nested loop.
-    /// Only reachable on the columnar backend with an empty overlay —
-    /// the planner guarantees both.
+    /// Only reachable with an empty overlay — the planner guarantees it.
     fn relations_rel_first(
         &self,
         ca: &[(ResourceId, f64)],
@@ -152,9 +157,6 @@ impl Kb {
         seen: &mut OrderedDedup<PropertyId>,
         out: &mut Vec<PropertyId>,
     ) {
-        let FactStore::Columnar(cf) = &self.facts else {
-            unreachable!("rel-first plan requires the columnar backend");
-        };
         let mut sorted_cb: Vec<(ResourceId, u32)> = cb
             .iter()
             .enumerate()
@@ -165,7 +167,7 @@ impl Kb {
         let mut matches: Vec<(u32, usize)> = Vec::new();
         for &(ra, _) in ca {
             matches.clear();
-            let (adj, base) = cf.rr.adjacency(ra);
+            let (adj, base) = self.rr.adjacency(ra);
             let (mut i, mut j) = (0usize, 0usize);
             while i < adj.len() && j < sorted_cb.len() {
                 let a = adj[i];
@@ -188,7 +190,7 @@ impl Kb {
             }
             matches.sort_unstable();
             for &(_, key) in &matches {
-                for &p in cf.rr.props_at(key) {
+                for &p in self.rr.props_at(key) {
                     seen.push(p, out);
                     seen.extend(
                         self.prop_hier
@@ -215,7 +217,7 @@ impl Kb {
         ca: &[(ResourceId, f64)],
         norm_b: &str,
     ) -> Vec<PropertyId> {
-        let lids = self.facts.literal_norm_get(norm_b);
+        let lids = self.literal_norm.get(norm_b);
         if lids.is_empty() {
             return Vec::new();
         }
@@ -223,7 +225,7 @@ impl Kb {
         let mut seen = OrderedDedup::new();
         for &(ra, _) in ca {
             for &lid in lids {
-                for &p in self.facts.rl_get(ra, lid) {
+                for &p in self.rl.get(ra, lid) {
                     seen.push(p, &mut out);
                     seen.extend(
                         self.prop_hier
@@ -250,9 +252,9 @@ impl Kb {
     /// normalization and subproperty closure.
     pub fn holds_literal(&self, a: ResourceId, p: PropertyId, lit: &str) -> bool {
         let norm = sim::normalize(lit);
-        self.facts.literal_norm_get(&norm).iter().any(|&lid| {
-            self.facts
-                .rl_get(a, lid)
+        self.literal_norm.get(&norm).iter().any(|&lid| {
+            self.rl
+                .get(a, lid)
                 .iter()
                 .any(|&p2| self.prop_hier.is_a(p2.0, p.0))
         })
@@ -533,6 +535,23 @@ mod tests {
         }
     }
 
+    /// The type-first reference: a per-pair [`Kb::relations_between`]
+    /// nested loop with first-occurrence dedup.
+    fn per_pair_relations(
+        kb: &Kb,
+        ca: &[(ResourceId, f64)],
+        cb: &[(ResourceId, f64)],
+    ) -> Vec<PropertyId> {
+        let mut out = Vec::new();
+        let mut seen = OrderedDedup::new();
+        for &(ra, _) in ca {
+            for &(rb, _) in cb {
+                seen.extend(kb.relations_between(ra, rb), &mut out);
+            }
+        }
+        out
+    }
+
     #[test]
     fn both_probe_plans_emit_identical_relations() {
         // Dense KB: one hub subject with many facts, candidate lists wide
@@ -560,19 +579,28 @@ mod tests {
         cb.push(cb[0]);
         let (fast, plan) = kb.relations_for_candidates_planned(&ca, &cb);
         assert_eq!(plan, ProbePlan::RelFirst, "pattern should pick rel-first");
-        let (slow, legacy_plan) = kb
-            .with_legacy_backend()
-            .relations_for_candidates_planned(&ca, &cb);
-        assert_eq!(legacy_plan, ProbePlan::TypeFirst);
-        assert_eq!(fast, slow);
+        assert_eq!(fast, per_pair_relations(&kb, &ca, &cb));
         assert_eq!(fast, vec![rel, sup]);
 
-        // Enrichment writes push the columnar store into overlay mode:
-        // the planner must fall back to per-pair probes.
+        // Re-asserting a base fact is a no-op: it leaves the version
+        // alone and must not shadow the base key, so rel-first stays.
         let mut enriched = kb.clone();
+        assert!(!enriched.add_fact(subjects[0], rel, objects[0]));
+        assert_eq!(enriched.version(), kb.version());
+        let (noop, plan_noop) = enriched.relations_for_candidates_planned(&ca, &cb);
+        assert_eq!(
+            plan_noop,
+            ProbePlan::RelFirst,
+            "no-op write pinned type-first"
+        );
+        assert_eq!(noop, fast);
+
+        // A real enrichment write puts the store into overlay mode: the
+        // planner must fall back to per-pair probes.
         assert!(enriched.add_fact(subjects[0], rel, objects[1]));
         let (after, plan_after) = enriched.relations_for_candidates_planned(&ca, &cb);
         assert_eq!(plan_after, ProbePlan::TypeFirst);
+        assert_eq!(after, per_pair_relations(&enriched, &ca, &cb));
         assert_eq!(after, vec![rel, sup]);
     }
 

@@ -6,16 +6,10 @@
 //! output-linear time, and supports the §6.1 *enrichment* writes
 //! ([`Kb::add_fact`], [`Kb::add_entity`]).
 //!
-//! The fact indexes live behind a crate-private `FactStore` with two
-//! interchangeable backends: the historical hash-map/`Vec<Vec<…>>` layout
-//! (`Legacy`) and the dictionary-encoded columnar arenas of the
-//! `columnar` module (`Columnar`, the default produced by `finalize`;
-//! DESIGN.md §5i). Both answer every
-//! query bit-identically; [`Kb::with_legacy_backend`] /
-//! [`Kb::with_columnar_backend`] convert a store in place for baselining
-//! and equivalence testing.
-
-use std::collections::HashMap;
+//! The fact indexes are the dictionary-encoded columnar arenas of the
+//! `columnar` module (DESIGN.md §5i), owned by [`Kb`] directly: `finalize`
+//! packs them once into sorted CSR rows and SPO permutations, and
+//! copy-on-write overlays absorb the enrichment writes.
 
 use crate::coherence::CoherenceTable;
 use crate::columnar::{CsrRows, NormIndex, PairCsr};
@@ -25,349 +19,9 @@ use crate::interner::Interner;
 use crate::journal::{DeltaOp, EnrichmentDelta};
 use crate::label_index::LabelIndex;
 use crate::ontology::Hierarchy;
-use crate::plan::{self, CardStats, ProbePlan};
+use crate::plan::CardStats;
 use crate::query::Object;
 use crate::sim;
-
-/// The legacy fact-index layout: one heap allocation per row and per key.
-#[derive(Debug, Clone)]
-pub(crate) struct LegacyFacts {
-    /// Asserted types *plus* superclass closure, per resource (sorted at
-    /// finalize; enrichment appends unsorted).
-    pub(crate) types_closure: Vec<Vec<ClassId>>,
-    /// ENT(T): entities per class, including instances of subclasses.
-    pub(crate) class_entities: Vec<Vec<ResourceId>>,
-    /// Outgoing facts per subject (property stored as asserted).
-    pub(crate) out_edges: Vec<Vec<(PropertyId, Object)>>,
-    /// Incoming resource facts per object (property stored as asserted).
-    pub(crate) in_edges: Vec<Vec<(PropertyId, ResourceId)>>,
-    /// (subject, object-resource) -> asserted properties.
-    pub(crate) rr_index: HashMap<(ResourceId, ResourceId), Vec<PropertyId>>,
-    /// (subject, object-literal) -> asserted properties.
-    pub(crate) rl_index: HashMap<(ResourceId, LiteralId), Vec<PropertyId>>,
-    /// subENT(P): distinct subject entities per property (subproperty
-    /// closure folded upward), deduplicated.
-    pub(crate) prop_subjects: Vec<Vec<ResourceId>>,
-    /// objENT(P): distinct object entities per property.
-    pub(crate) prop_objects: Vec<Vec<ResourceId>>,
-    /// normalize(lit) -> LiteralIds of the spellings, for Q_rels^2.
-    pub(crate) literal_norm: HashMap<String, Vec<LiteralId>>,
-}
-
-/// The columnar fact-index layout (see [`crate::columnar`]).
-#[derive(Debug, Clone)]
-pub(crate) struct ColumnarFacts {
-    pub(crate) types_closure: CsrRows<ClassId>,
-    pub(crate) class_entities: CsrRows<ResourceId>,
-    pub(crate) out_edges: CsrRows<(PropertyId, Object)>,
-    pub(crate) in_edges: CsrRows<(PropertyId, ResourceId)>,
-    /// SPO permutation of the resource facts.
-    pub(crate) rr: PairCsr<ResourceId>,
-    /// SPO permutation of the literal facts.
-    pub(crate) rl: PairCsr<LiteralId>,
-    pub(crate) prop_subjects: CsrRows<ResourceId>,
-    pub(crate) prop_objects: CsrRows<ResourceId>,
-    pub(crate) literal_norm: NormIndex,
-    /// Frozen cardinality stats feeding the probe planner.
-    pub(crate) stats: CardStats,
-}
-
-impl ColumnarFacts {
-    /// Convert the legacy layout into sorted columnar arenas. Hash-map
-    /// iteration order is laundered through a sort, so the arenas — and
-    /// every query answered from them — are deterministic.
-    pub(crate) fn from_legacy(legacy: LegacyFacts, n_resources: usize) -> Self {
-        let mut rr_pairs: Vec<((ResourceId, ResourceId), Vec<PropertyId>)> =
-            legacy.rr_index.into_iter().collect();
-        rr_pairs.sort_unstable_by_key(|&(k, _)| k);
-        let rr = PairCsr::from_sorted_pairs(n_resources, &rr_pairs);
-        let mut rl_pairs: Vec<((ResourceId, LiteralId), Vec<PropertyId>)> =
-            legacy.rl_index.into_iter().collect();
-        rl_pairs.sort_unstable_by_key(|&(k, _)| k);
-        let rl = PairCsr::from_sorted_pairs(n_resources, &rl_pairs);
-        let mut norms: Vec<(String, Vec<LiteralId>)> = legacy.literal_norm.into_iter().collect();
-        norms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let stats = CardStats::new(rr.num_pairs(), rr.num_subjects_with_pairs());
-        ColumnarFacts {
-            types_closure: CsrRows::from_rows(&legacy.types_closure),
-            class_entities: CsrRows::from_rows(&legacy.class_entities),
-            out_edges: CsrRows::from_rows(&legacy.out_edges),
-            in_edges: CsrRows::from_rows(&legacy.in_edges),
-            rr,
-            rl,
-            prop_subjects: CsrRows::from_rows(&legacy.prop_subjects),
-            prop_objects: CsrRows::from_rows(&legacy.prop_objects),
-            literal_norm: NormIndex::from_sorted(norms),
-            stats,
-        }
-    }
-
-    /// Materialize back into the legacy layout (overlays applied).
-    pub(crate) fn to_legacy(
-        &self,
-        n_resources: usize,
-        n_classes: usize,
-        n_props: usize,
-    ) -> LegacyFacts {
-        LegacyFacts {
-            types_closure: self.types_closure.to_rows(n_resources),
-            class_entities: self
-                .class_entities
-                .to_rows(n_classes.max(self.class_entities.row_span())),
-            out_edges: self.out_edges.to_rows(n_resources),
-            in_edges: self.in_edges.to_rows(n_resources),
-            rr_index: self
-                .rr
-                .iter_pairs()
-                .map(|(k, ps)| (k, ps.to_vec()))
-                .collect(),
-            rl_index: self
-                .rl
-                .iter_pairs()
-                .map(|(k, ps)| (k, ps.to_vec()))
-                .collect(),
-            prop_subjects: self.prop_subjects.to_rows(n_props),
-            prop_objects: self.prop_objects.to_rows(n_props),
-            literal_norm: self
-                .literal_norm
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_vec()))
-                .collect(),
-        }
-    }
-}
-
-/// The pluggable fact-index backend. Every accessor and mutation below is
-/// implemented on both variants with identical observable behavior —
-/// including ordering — so a [`Kb`] can swap layouts without changing a
-/// single query result.
-// A `Kb` owns exactly one `FactStore` (never collections of them), so the
-// size gap between the arena-heavy variants wastes nothing worth a Box
-// indirection on every probe.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub(crate) enum FactStore {
-    Legacy(LegacyFacts),
-    Columnar(ColumnarFacts),
-}
-
-static EMPTY_R: Vec<ResourceId> = Vec::new();
-static EMPTY_P: Vec<PropertyId> = Vec::new();
-static EMPTY_L: Vec<LiteralId> = Vec::new();
-
-impl FactStore {
-    pub(crate) fn backend_name(&self) -> &'static str {
-        match self {
-            FactStore::Legacy(_) => "legacy",
-            FactStore::Columnar(_) => "columnar",
-        }
-    }
-
-    pub(crate) fn types_closure(&self, r: ResourceId) -> &[ClassId] {
-        match self {
-            FactStore::Legacy(f) => &f.types_closure[r.index()],
-            FactStore::Columnar(f) => f.types_closure.row(r.index()),
-        }
-    }
-
-    pub(crate) fn has_type(&self, r: ResourceId, c: ClassId) -> bool {
-        match self {
-            FactStore::Legacy(f) => f.types_closure[r.index()].contains(&c),
-            FactStore::Columnar(f) => f.types_closure.contains_sorted(r.index(), c),
-        }
-    }
-
-    pub(crate) fn class_entities(&self, c: ClassId) -> &[ResourceId] {
-        match self {
-            FactStore::Legacy(f) => f.class_entities.get(c.index()).unwrap_or(&EMPTY_R),
-            FactStore::Columnar(f) => f.class_entities.row(c.index()),
-        }
-    }
-
-    pub(crate) fn out_edges(&self, s: ResourceId) -> &[(PropertyId, Object)] {
-        match self {
-            FactStore::Legacy(f) => &f.out_edges[s.index()],
-            FactStore::Columnar(f) => f.out_edges.row(s.index()),
-        }
-    }
-
-    pub(crate) fn in_edges(&self, o: ResourceId) -> &[(PropertyId, ResourceId)] {
-        match self {
-            FactStore::Legacy(f) => &f.in_edges[o.index()],
-            FactStore::Columnar(f) => f.in_edges.row(o.index()),
-        }
-    }
-
-    pub(crate) fn rr_get(&self, a: ResourceId, b: ResourceId) -> &[PropertyId] {
-        match self {
-            FactStore::Legacy(f) => f.rr_index.get(&(a, b)).unwrap_or(&EMPTY_P),
-            FactStore::Columnar(f) => f.rr.get(a, b),
-        }
-    }
-
-    pub(crate) fn rl_get(&self, s: ResourceId, l: LiteralId) -> &[PropertyId] {
-        match self {
-            FactStore::Legacy(f) => f.rl_index.get(&(s, l)).unwrap_or(&EMPTY_P),
-            FactStore::Columnar(f) => f.rl.get(s, l),
-        }
-    }
-
-    pub(crate) fn prop_subjects(&self, p: PropertyId) -> &[ResourceId] {
-        match self {
-            FactStore::Legacy(f) => f.prop_subjects.get(p.index()).unwrap_or(&EMPTY_R),
-            FactStore::Columnar(f) => f.prop_subjects.row(p.index()),
-        }
-    }
-
-    pub(crate) fn prop_objects(&self, p: PropertyId) -> &[ResourceId] {
-        match self {
-            FactStore::Legacy(f) => f.prop_objects.get(p.index()).unwrap_or(&EMPTY_R),
-            FactStore::Columnar(f) => f.prop_objects.row(p.index()),
-        }
-    }
-
-    pub(crate) fn literal_norm_get(&self, norm: &str) -> &[LiteralId] {
-        match self {
-            FactStore::Legacy(f) => f.literal_norm.get(norm).unwrap_or(&EMPTY_L),
-            FactStore::Columnar(f) => f.literal_norm.get(norm),
-        }
-    }
-
-    /// Pick the probe plan for a `|ca| × |cb|` candidate pattern. Legacy
-    /// stores always probe per pair; a columnar store with enrichment
-    /// overlay entries does too (merge joins over base adjacency runs
-    /// would miss overlay-only keys).
-    pub(crate) fn choose_plan(&self, ca: usize, cb: usize) -> ProbePlan {
-        match self {
-            FactStore::Legacy(_) => ProbePlan::TypeFirst,
-            FactStore::Columnar(f) => {
-                if f.rr.has_overlay() {
-                    ProbePlan::TypeFirst
-                } else {
-                    plan::choose(ca, cb, &f.stats)
-                }
-            }
-        }
-    }
-
-    // --- mutation primitives (enrichment path) ---
-
-    pub(crate) fn rr_insert(&mut self, s: ResourceId, o: ResourceId, p: PropertyId) -> bool {
-        match self {
-            FactStore::Legacy(f) => {
-                let props = f.rr_index.entry((s, o)).or_default();
-                if props.contains(&p) {
-                    return false;
-                }
-                props.push(p);
-                true
-            }
-            FactStore::Columnar(f) => f.rr.insert(s, o, p),
-        }
-    }
-
-    pub(crate) fn rl_insert(&mut self, s: ResourceId, l: LiteralId, p: PropertyId) -> bool {
-        match self {
-            FactStore::Legacy(f) => {
-                let props = f.rl_index.entry((s, l)).or_default();
-                if props.contains(&p) {
-                    return false;
-                }
-                props.push(p);
-                true
-            }
-            FactStore::Columnar(f) => f.rl.insert(s, l, p),
-        }
-    }
-
-    pub(crate) fn literal_norm_insert(&mut self, norm: &str, lid: LiteralId) {
-        match self {
-            FactStore::Legacy(f) => {
-                let ids = f.literal_norm.entry(norm.to_string()).or_default();
-                if !ids.contains(&lid) {
-                    ids.push(lid);
-                }
-            }
-            FactStore::Columnar(f) => f.literal_norm.insert(norm, lid),
-        }
-    }
-
-    pub(crate) fn out_push(&mut self, s: ResourceId, edge: (PropertyId, Object)) {
-        match self {
-            FactStore::Legacy(f) => f.out_edges[s.index()].push(edge),
-            FactStore::Columnar(f) => f.out_edges.push(s.index(), edge),
-        }
-    }
-
-    pub(crate) fn in_push(&mut self, o: ResourceId, edge: (PropertyId, ResourceId)) {
-        match self {
-            FactStore::Legacy(f) => f.in_edges[o.index()].push(edge),
-            FactStore::Columnar(f) => f.in_edges.push(o.index(), edge),
-        }
-    }
-
-    pub(crate) fn prop_subjects_push_unique(&mut self, p: PropertyId, s: ResourceId) {
-        match self {
-            FactStore::Legacy(f) => push_unique(&mut f.prop_subjects[p.index()], s),
-            FactStore::Columnar(f) => f.prop_subjects.push_unique(p.index(), s),
-        }
-    }
-
-    pub(crate) fn prop_objects_push_unique(&mut self, p: PropertyId, o: ResourceId) {
-        match self {
-            FactStore::Legacy(f) => push_unique(&mut f.prop_objects[p.index()], o),
-            FactStore::Columnar(f) => f.prop_objects.push_unique(p.index(), o),
-        }
-    }
-
-    /// Row bookkeeping for a brand-new entity. Columnar rows past the
-    /// base arena are implicitly empty, so only the legacy layout
-    /// allocates anything.
-    pub(crate) fn push_empty_entity_rows(&mut self) {
-        match self {
-            FactStore::Legacy(f) => {
-                f.types_closure.push(Vec::new());
-                f.out_edges.push(Vec::new());
-                f.in_edges.push(Vec::new());
-            }
-            FactStore::Columnar(_) => {}
-        }
-    }
-
-    /// Add `c` to `r`'s type closure unless present. Returns whether it
-    /// was added (the caller then maintains ENT(T)).
-    pub(crate) fn types_closure_insert(&mut self, r: ResourceId, c: ClassId) -> bool {
-        match self {
-            FactStore::Legacy(f) => {
-                let closure = &mut f.types_closure[r.index()];
-                if closure.contains(&c) {
-                    return false;
-                }
-                closure.push(c);
-                true
-            }
-            FactStore::Columnar(f) => {
-                if f.types_closure.contains_sorted(r.index(), c) {
-                    return false;
-                }
-                f.types_closure.push(r.index(), c);
-                true
-            }
-        }
-    }
-
-    pub(crate) fn class_entities_push_unique(&mut self, c: ClassId, r: ResourceId) {
-        match self {
-            FactStore::Legacy(f) => {
-                if f.class_entities.len() <= c.index() {
-                    f.class_entities.resize_with(c.index() + 1, Vec::new);
-                }
-                push_unique(&mut f.class_entities[c.index()], r);
-            }
-            FactStore::Columnar(f) => f.class_entities.push_unique(c.index(), r),
-        }
-    }
-}
 
 /// An immutable-schema, enrichable-facts knowledge base.
 ///
@@ -387,8 +41,29 @@ pub struct Kb {
     pub(crate) prop_hier: Hierarchy,
     /// Direct (asserted) types per resource.
     pub(crate) direct_types: Vec<Vec<ClassId>>,
-    /// Every fact index, behind the pluggable backend.
-    pub(crate) facts: FactStore,
+    /// Asserted types *plus* superclass closure, per resource (sorted at
+    /// finalize; enrichment appends unsorted).
+    pub(crate) types_closure: CsrRows<ClassId>,
+    /// ENT(T): entities per class, including instances of subclasses.
+    pub(crate) class_entities: CsrRows<ResourceId>,
+    /// Outgoing facts per subject (property stored as asserted).
+    pub(crate) out_edges: CsrRows<(PropertyId, Object)>,
+    /// Incoming resource facts per object (property stored as asserted).
+    pub(crate) in_edges: CsrRows<(PropertyId, ResourceId)>,
+    /// SPO permutation of the resource facts: (subject, object) ->
+    /// asserted properties.
+    pub(crate) rr: PairCsr<ResourceId>,
+    /// SPO permutation of the literal facts.
+    pub(crate) rl: PairCsr<LiteralId>,
+    /// subENT(P): distinct subject entities per property (subproperty
+    /// closure folded upward).
+    pub(crate) prop_subjects: CsrRows<ResourceId>,
+    /// objENT(P): distinct object entities per property.
+    pub(crate) prop_objects: CsrRows<ResourceId>,
+    /// normalize(lit) -> LiteralIds of the spellings, for Q_rels^2.
+    pub(crate) literal_norm: NormIndex,
+    /// Frozen cardinality stats feeding the probe planner.
+    pub(crate) stats: CardStats,
     pub(crate) coherence: CoherenceTable,
     pub(crate) sim_threshold: f64,
     /// Count of facts (triples with a property), for reporting.
@@ -408,39 +83,6 @@ impl Kb {
     /// The KB's display name (e.g. `"yago-like"`).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Which fact-index backend this store runs on: `"columnar"` (the
-    /// default since the dictionary-encoded engine landed) or `"legacy"`.
-    pub fn backend_name(&self) -> &'static str {
-        self.facts.backend_name()
-    }
-
-    /// A clone of this store running on the legacy hash-map backend.
-    /// Query-for-query equivalent; exists for baselining and the
-    /// store-equivalence gate.
-    pub fn with_legacy_backend(&self) -> Kb {
-        let mut kb = self.clone();
-        if let FactStore::Columnar(f) = &kb.facts {
-            kb.facts =
-                FactStore::Legacy(f.to_legacy(kb.labels.len(), kb.classes.len(), kb.props.len()));
-        }
-        kb
-    }
-
-    /// A clone of this store running on the columnar backend (rebuilding
-    /// the arenas and cardinality stats from scratch — the cost reported
-    /// as `index_build_ms` in `BENCH_resolve.json`).
-    pub fn with_columnar_backend(&self) -> Kb {
-        let mut kb = self.clone();
-        let legacy = match kb.facts {
-            FactStore::Legacy(f) => f,
-            FactStore::Columnar(f) => {
-                f.to_legacy(kb.labels.len(), kb.classes.len(), kb.props.len())
-            }
-        };
-        kb.facts = FactStore::Columnar(ColumnarFacts::from_legacy(legacy, kb.labels.len()));
-        kb
     }
 
     /// Total number of entities, the paper's `N`.
@@ -547,17 +189,17 @@ impl Kb {
 
     /// Types of a resource including all superclasses (`rdfs:type/subClassOf*`).
     pub fn types_closure(&self, r: ResourceId) -> &[ClassId] {
-        self.facts.types_closure(r)
+        self.types_closure.row(r.index())
     }
 
     /// `type(r) = c` or `subclassOf(type(r), c)` — condition 2 of §3.2.
     pub fn has_type(&self, r: ResourceId, c: ClassId) -> bool {
-        self.facts.has_type(r, c)
+        self.types_closure.contains_sorted(r.index(), c)
     }
 
     /// ENT(T): entities of class `c`, including subclass instances.
     pub fn entities_of_class(&self, c: ClassId) -> &[ResourceId] {
-        self.facts.class_entities(c)
+        self.class_entities.row(c.index())
     }
 
     /// |ENT(T)| — O(1) per-class cardinality off the index offsets.
@@ -568,22 +210,22 @@ impl Kb {
     /// subENT(P): distinct entities appearing as subject of `p` (including
     /// via subproperties).
     pub fn subjects_of_property(&self, p: PropertyId) -> &[ResourceId] {
-        self.facts.prop_subjects(p)
+        self.prop_subjects.row(p.index())
     }
 
     /// objENT(P): distinct entities appearing as object of `p`.
     pub fn objects_of_property(&self, p: PropertyId) -> &[ResourceId] {
-        self.facts.prop_objects(p)
+        self.prop_objects.row(p.index())
     }
 
     /// Outgoing facts of a subject, as asserted.
     pub fn facts_of(&self, s: ResourceId) -> &[(PropertyId, Object)] {
-        self.facts.out_edges(s)
+        self.out_edges.row(s.index())
     }
 
     /// Incoming resource-object facts of `o`, as asserted.
     pub fn facts_into(&self, o: ResourceId) -> &[(PropertyId, ResourceId)] {
-        self.facts.in_edges(o)
+        self.in_edges.row(o.index())
     }
 
     /// All subjects `s` with `holds(s, p, o)` — the reverse of
@@ -799,7 +441,7 @@ impl Kb {
     /// and subENT/objENT (with subproperty fold-up) but not the coherence
     /// table.
     pub fn add_fact(&mut self, s: ResourceId, p: PropertyId, o: ResourceId) -> bool {
-        if !self.facts.rr_insert(s, o, p) {
+        if !self.rr.insert(s, o, p) {
             return false;
         }
         self.version += 1;
@@ -808,15 +450,14 @@ impl Kb {
             property: kb.property_name(p).to_string(),
             object: kb.resource_name(o).to_string(),
         });
-        self.facts.out_push(s, (p, Object::Resource(o)));
-        self.facts.in_push(o, (p, s));
+        self.out_edges.push(s.index(), (p, Object::Resource(o)));
+        self.in_edges.push(o.index(), (p, s));
         self.fact_count += 1;
         let mut ps = vec![p.0];
         ps.extend(self.prop_hier.ancestors(p.0).map(|(a, _)| a));
         for pa in ps {
-            let pa = PropertyId(pa);
-            self.facts.prop_subjects_push_unique(pa, s);
-            self.facts.prop_objects_push_unique(pa, o);
+            self.prop_subjects.push_unique(pa as usize, s);
+            self.prop_objects.push_unique(pa as usize, o);
         }
         true
     }
@@ -825,8 +466,8 @@ impl Kb {
     pub fn add_literal_fact(&mut self, s: ResourceId, p: PropertyId, lit: &str) -> bool {
         let lid = LiteralId::from_index(self.literals.intern(lit));
         let norm = sim::normalize(lit);
-        self.facts.literal_norm_insert(&norm, lid);
-        if !self.facts.rl_insert(s, lid, p) {
+        self.literal_norm.insert(&norm, lid);
+        if !self.rl.insert(s, lid, p) {
             return false;
         }
         self.version += 1;
@@ -835,12 +476,12 @@ impl Kb {
             property: kb.property_name(p).to_string(),
             literal: lit.to_string(),
         });
-        self.facts.out_push(s, (p, Object::Literal(lid)));
+        self.out_edges.push(s.index(), (p, Object::Literal(lid)));
         self.fact_count += 1;
         let mut ps = vec![p.0];
         ps.extend(self.prop_hier.ancestors(p.0).map(|(a, _)| a));
         for pa in ps {
-            self.facts.prop_subjects_push_unique(PropertyId(pa), s);
+            self.prop_subjects.push_unique(pa as usize, s);
         }
         true
     }
@@ -864,8 +505,8 @@ impl Kb {
         });
         self.labels.push(label.to_string());
         self.label_index.insert(label, r);
+        // Fact-index rows past the base arenas are implicitly empty.
         self.direct_types.push(Vec::new());
-        self.facts.push_empty_entity_rows();
         for &t in types {
             self.add_type(r, t);
         }
@@ -889,17 +530,12 @@ impl Kb {
         cs.extend(self.class_hier.ancestors(t.0).map(|(a, _)| a));
         for c in cs {
             let c = ClassId(c);
-            if self.facts.types_closure_insert(r, c) {
-                self.facts.class_entities_push_unique(c, r);
+            if !self.types_closure.contains_sorted(r.index(), c) {
+                self.types_closure.push(r.index(), c);
+                self.class_entities.push_unique(c.index(), r);
             }
         }
         true
-    }
-}
-
-fn push_unique<T: PartialEq + Copy>(v: &mut Vec<T>, x: T) {
-    if !v.contains(&x) {
-        v.push(x);
     }
 }
 
@@ -929,7 +565,6 @@ mod tests {
         assert_eq!(kb.property_name(has_capital), "hasCapital");
         assert_eq!(kb.label_of(italy), "Italy");
         assert_eq!(kb.resource_name(rome), "Rome");
-        assert_eq!(kb.backend_name(), "columnar");
     }
 
     #[test]
@@ -1129,78 +764,5 @@ mod tests {
             Object::Literal(l) => assert_eq!(kb.literal_value(l), "1.78"),
             Object::Resource(_) => panic!("expected literal"),
         }
-    }
-
-    #[test]
-    fn backend_round_trip_preserves_serialization_and_queries() {
-        let mut b = KbBuilder::new().with_name("rt");
-        let person = b.class("person");
-        let country = b.class("country");
-        let nat = b.property("nationality");
-        let height = b.property("hasHeight");
-        let rossi = b.entity("Rossi", &[person]);
-        let italy = b.entity("Italy", &[country]);
-        b.fact(rossi, nat, italy);
-        b.literal_fact(rossi, height, "1.78");
-        let kb = b.finalize();
-        assert_eq!(kb.backend_name(), "columnar");
-
-        let legacy = kb.with_legacy_backend();
-        assert_eq!(legacy.backend_name(), "legacy");
-        let back = legacy.with_columnar_backend();
-        assert_eq!(back.backend_name(), "columnar");
-        for k in [&legacy, &back] {
-            assert_eq!(
-                crate::ntriples::to_string(k),
-                crate::ntriples::to_string(&kb)
-            );
-            assert_eq!(
-                k.relations_between_values("Rossi", "Italy"),
-                kb.relations_between_values("Rossi", "Italy")
-            );
-            assert_eq!(
-                k.relations_to_literal("Rossi", "1.78"),
-                kb.relations_to_literal("Rossi", "1.78")
-            );
-        }
-    }
-
-    #[test]
-    fn enrichment_behaves_identically_on_both_backends() {
-        let mut b = KbBuilder::new();
-        let person = b.class("person");
-        let country = b.class("country");
-        let nat = b.property("nationality");
-        b.entity("Rossi", &[person]);
-        b.entity("Italy", &[country]);
-        let kb = b.finalize();
-
-        let mut col = kb.clone();
-        let mut leg = kb.with_legacy_backend();
-        for k in [&mut col, &mut leg] {
-            let rossi = k.resource_by_name("Rossi").unwrap();
-            let italy = k.resource_by_name("Italy").unwrap();
-            let nat = k.property_by_name("nationality").unwrap();
-            let person = k.class_by_name("person").unwrap();
-            assert!(k.add_fact(rossi, nat, italy));
-            assert!(k.add_literal_fact(rossi, nat, "italian"));
-            let monti = k.add_entity("Monti", "Monti", &[person]);
-            assert!(k.add_type(italy, person)); // nonsense type, but legal
-            assert!(!k.add_fact(rossi, nat, italy));
-            assert_eq!(k.subjects_linking(italy, nat), vec![rossi]);
-            assert!(k.has_type(monti, person));
-        }
-        let _ = nat;
-        assert_eq!(col.version(), leg.version());
-        assert_eq!(col.num_facts(), leg.num_facts());
-        assert_eq!(
-            crate::ntriples::to_string(&col),
-            crate::ntriples::to_string(&leg)
-        );
-        // And converting the enriched columnar store down still matches.
-        assert_eq!(
-            crate::ntriples::to_string(&col.with_legacy_backend()),
-            crate::ntriples::to_string(&leg)
-        );
     }
 }
