@@ -89,7 +89,7 @@ pub struct CandidateConfig {
     pub min_rel_support_fraction: f64,
     /// Keep at most this many candidates per ranked list.
     pub max_candidates: usize,
-    /// Worker threads for the per-column / per-pair scans (the paper
+    /// Worker threads for the per-column / per-pair folds (the paper
     /// distributes candidate generation for the 316K-row Person table,
     /// §7.1). Every worker reads the same shared [`TableResolution`], so
     /// the output is byte-identical for every thread count.
@@ -154,77 +154,227 @@ pub fn discover_candidates(table: &Table, kb: &Kb, config: &CandidateConfig) -> 
 }
 
 /// Discovery over a prebuilt [`TableResolution`] for the same
-/// `(table, kb)` pair. Workers share the read-only snapshot through the
-/// order-preserving `par_map_indexed`. The snapshot must be current for
-/// `kb`; value pairs beyond its row cap are computed from its cached
-/// candidate lists (slower, identical output).
+/// `(table, kb)` pair: one count of the support within the first
+/// `max_rows` rows, every list folded from it. Workers share the
+/// read-only snapshot through the order-preserving `par_map_indexed`.
+/// The snapshot must be current for `kb`; value pairs beyond its row cap
+/// are computed from its cached candidate lists (slower, identical
+/// output).
 pub fn discover_candidates_resolved(
     table: &Table,
     kb: &Kb,
     resolution: &TableResolution,
     config: &CandidateConfig,
 ) -> CandidateSet {
-    let rows = table.num_rows().min(config.max_rows);
-    let ncols = table.num_columns();
+    WindowCounts::discover(table, kb, resolution, config).candidate_set()
+}
 
-    // ---- Types per column ------------------------------------------------
-    let col_types: Vec<Vec<TypeCandidate>> = par_map_indexed(config.threads, ncols, |c| {
-        let mut counts: HashMap<u32, usize> = HashMap::new();
-        let mut non_null = 0usize;
-        for r in 0..rows {
-            let Some(id) = resolution.value_id(c, r) else {
-                continue;
-            };
-            non_null += 1;
-            *counts.entry(id).or_insert(0) += 1;
-        }
-        let acc = fold_types_from_counts(kb, resolution, &counts);
-        config
-            .recorder
-            .incr_by(Counter::DiscoveryTypeProbes, non_null as u64);
-        rank_types(kb, acc, non_null, config)
-    });
+/// Discovery's support counts over the scan window (the first
+/// `min(max_rows, num_rows)` rows), each with the ranked list it last
+/// folded to. [`discover_candidates_resolved`] scans one and folds it;
+/// the incremental engine ([`crate::delta`]) keeps one alive, patches it
+/// per edit, and re-folds only the dirty lists.
+#[derive(Debug, Clone)]
+pub(crate) struct WindowCounts {
+    /// Rows inside the window.
+    rows: usize,
+    /// Ordered column pairs, i-outer/j-inner; `pair_support[k]` belongs
+    /// to `pairs[k]`.
+    pairs: Vec<(usize, usize)>,
+    /// Per column: occurrences of each distinct-value id.
+    col_support: Vec<Support<u32, TypeCandidate>>,
+    /// Per ordered pair: occurrences of each `(id, id)` combination.
+    pair_support: Vec<Support<(u32, u32), RelCandidate>>,
+}
 
-    // ---- Relationships per ordered pair -----------------------------------
-    let pairs: Vec<(usize, usize)> = (0..ncols)
-        .flat_map(|i| (0..ncols).filter(move |&j| j != i).map(move |j| (i, j)))
-        .collect();
-    let ranked_pairs: Vec<Vec<RelCandidate>> = par_map_indexed(config.threads, pairs.len(), |pi| {
-        let (i, j) = pairs[pi];
-        let mut counts: HashMap<(u32, u32), usize> = HashMap::new();
-        let mut non_null = 0usize;
-        for r in 0..rows {
-            let (Some(a), Some(b)) = (resolution.value_id(i, r), resolution.value_id(j, r)) else {
-                continue;
-            };
-            non_null += 1;
-            *counts.entry((a, b)).or_insert(0) += 1;
+/// One column's (or pair's) support counts and the list they fold to.
+#[derive(Debug, Clone)]
+struct Support<K, C> {
+    counts: HashMap<K, usize>,
+    non_null: usize,
+    list: Vec<C>,
+    /// `list` is stale: the counts moved or the KB changed since the fold.
+    dirty: bool,
+}
+
+impl<K: Copy + Eq + std::hash::Hash, C> Support<K, C> {
+    fn count(keys: impl Iterator<Item = K>) -> Self {
+        let mut s = Support {
+            counts: HashMap::new(),
+            non_null: 0,
+            list: Vec::new(),
+            dirty: true,
+        };
+        for k in keys {
+            s.shift(None, Some(k));
         }
-        let acc = fold_rels_from_counts(kb, resolution, &counts);
-        config
-            .recorder
-            .incr_by(Counter::DiscoveryRelProbes, non_null as u64);
-        rank_rels(kb, acc, non_null, config)
-    });
-    let mut pair_rels: HashMap<(usize, usize), Vec<RelCandidate>> = HashMap::new();
-    for (pi, ranked) in ranked_pairs.into_iter().enumerate() {
-        if !ranked.is_empty() {
-            pair_rels.insert(pairs[pi], ranked);
+        s
+    }
+
+    /// Move one occurrence from `old` to `new` (`None`: no key on that
+    /// side). Keys leave the map at zero, so patched counts stay equal to
+    /// freshly scanned ones.
+    fn shift(&mut self, old: Option<K>, new: Option<K>) {
+        if old == new {
+            return;
+        }
+        if let Some(k) = old {
+            match self.counts.get_mut(&k) {
+                Some(n) if *n > 1 => *n -= 1,
+                _ => {
+                    let gone = self.counts.remove(&k);
+                    debug_assert!(gone.is_some(), "window count underflow");
+                }
+            }
+            self.non_null -= 1;
+        }
+        if let Some(k) = new {
+            *self.counts.entry(k).or_insert(0) += 1;
+            self.non_null += 1;
+        }
+        self.dirty = true;
+    }
+}
+
+impl WindowCounts {
+    /// Count the first `rows` rows of `resolution`; every list starts
+    /// dirty.
+    pub(crate) fn scan(resolution: &TableResolution, ncols: usize, rows: usize) -> Self {
+        let pairs: Vec<(usize, usize)> = (0..ncols)
+            .flat_map(|i| (0..ncols).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        let col_support = (0..ncols)
+            .map(|c| Support::count((0..rows).filter_map(|r| resolution.value_id(c, r))))
+            .collect();
+        let pair_support =
+            pairs
+                .iter()
+                .map(|&(i, j)| {
+                    Support::count((0..rows).filter_map(|r| {
+                        Some((resolution.value_id(i, r)?, resolution.value_id(j, r)?))
+                    }))
+                })
+                .collect();
+        WindowCounts {
+            rows,
+            pairs,
+            col_support,
+            pair_support,
         }
     }
 
-    CandidateSet {
-        col_types,
-        pair_rels,
-        rows_scanned: rows,
+    /// Scan the window of `table` and fold every list, recording the
+    /// `discovery.{type,rel}_probes` of a full scan: one per non-null
+    /// cell, one per same-row pair of non-null cells.
+    pub(crate) fn discover(
+        table: &Table,
+        kb: &Kb,
+        resolution: &TableResolution,
+        config: &CandidateConfig,
+    ) -> Self {
+        let rows = table.num_rows().min(config.max_rows);
+        let mut window = Self::scan(resolution, table.num_columns(), rows);
+        window.fold(kb, resolution, config);
+        let rec = config.recorder.as_ref();
+        let cells = window.col_support.iter().map(|s| s.non_null as u64).sum();
+        let cell_pairs = window.pair_support.iter().map(|s| s.non_null as u64).sum();
+        rec.incr_by(Counter::DiscoveryTypeProbes, cells);
+        rec.incr_by(Counter::DiscoveryRelProbes, cell_pairs);
+        window
     }
+
+    /// Rows inside the window.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Move one window row's contributions from the ids `old` to `new`
+    /// (one per column; `None` for a row entering or leaving the window),
+    /// dirtying exactly the lists whose counts moved.
+    pub(crate) fn patch_row(&mut self, old: Option<&[Option<u32>]>, new: Option<&[Option<u32>]>) {
+        let id = |ids: Option<&[Option<u32>]>, c: usize| ids.and_then(|ids| ids[c]);
+        for (c, s) in self.col_support.iter_mut().enumerate() {
+            s.shift(id(old, c), id(new, c));
+        }
+        for (&(i, j), s) in self.pairs.iter().zip(&mut self.pair_support) {
+            let pair = |ids| Some((id(ids, i)?, id(ids, j)?));
+            s.shift(pair(old), pair(new));
+        }
+        self.rows = self.rows + usize::from(new.is_some()) - usize::from(old.is_some());
+    }
+
+    /// Mark every list stale: the KB changed, so tf-idf inputs (class
+    /// sizes, property subject counts) may have moved.
+    pub(crate) fn mark_all_dirty(&mut self) {
+        self.col_support.iter_mut().for_each(|s| s.dirty = true);
+        self.pair_support.iter_mut().for_each(|s| s.dirty = true);
+    }
+
+    /// The value-id combinations the next [`Self::fold`] reads from the
+    /// pair memo.
+    pub(crate) fn dirty_pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.pair_support
+            .iter()
+            .filter(|s| s.dirty)
+            .flat_map(|s| s.counts.keys().copied())
+    }
+
+    /// Re-fold every dirty list from its counts in the canonical order
+    /// (see the module docs) and return how many were folded. Pure
+    /// arithmetic over the snapshot's memoized tiers — no KB probes.
+    pub(crate) fn fold(
+        &mut self,
+        kb: &Kb,
+        resolution: &TableResolution,
+        config: &CandidateConfig,
+    ) -> usize {
+        fold_dirty(&mut self.col_support, config.threads, |s| {
+            let acc = fold_types_from_counts(kb, resolution, &s.counts);
+            rank_types(kb, acc, s.non_null, config)
+        }) + fold_dirty(&mut self.pair_support, config.threads, |s| {
+            let acc = fold_rels_from_counts(kb, resolution, &s.counts);
+            rank_rels(kb, acc, s.non_null, config)
+        })
+    }
+
+    /// The folded lists as a [`CandidateSet`] (pairs with no surviving
+    /// candidate are omitted).
+    pub(crate) fn candidate_set(&self) -> CandidateSet {
+        CandidateSet {
+            col_types: self.col_support.iter().map(|s| s.list.clone()).collect(),
+            pair_rels: self
+                .pairs
+                .iter()
+                .zip(&self.pair_support)
+                .filter(|(_, s)| !s.list.is_empty())
+                .map(|(&pair, s)| (pair, s.list.clone()))
+                .collect(),
+            rows_scanned: self.rows,
+        }
+    }
+}
+
+/// Fold the dirty entries of `slots` with `fold`, in parallel; returns
+/// how many were folded.
+fn fold_dirty<K: Sync, C: Send + Sync>(
+    slots: &mut [Support<K, C>],
+    threads: Threads,
+    fold: impl Fn(&Support<K, C>) -> Vec<C> + Sync,
+) -> usize {
+    let dirty: Vec<usize> = (0..slots.len()).filter(|&k| slots[k].dirty).collect();
+    let lists = par_map_indexed(threads, dirty.len(), |d| fold(&slots[dirty[d]]));
+    for (&k, list) in dirty.iter().zip(lists) {
+        slots[k].list = list;
+        slots[k].dirty = false;
+    }
+    dirty.len()
 }
 
 /// Fold one distinct value's `Q_types` result (weighted by its occurrence
 /// count) into a column's tf-idf accumulator. The caller iterates distinct
-/// values in normalized-string order — the canonical fold order shared by
-/// the full paths and the delta engine's re-fold.
-pub(crate) fn fold_type_group(
+/// values in normalized-string order — the canonical fold order that
+/// makes re-folding maintained counts bit-identical to a fresh scan.
+fn fold_type_group(
     kb: &Kb,
     num_classes: f64,
     types: &[ClassId],
@@ -245,7 +395,7 @@ pub(crate) fn fold_type_group(
 }
 
 /// [`fold_type_group`]'s relationship counterpart.
-pub(crate) fn fold_rel_group(
+fn fold_rel_group(
     kb: &Kb,
     num_props: f64,
     res: &[PropertyId],
@@ -276,7 +426,7 @@ pub(crate) fn fold_rel_group(
 /// Canonical fold of a column's per-distinct-value occurrence counts into
 /// the type tf-idf accumulator: distinct values sorted by normalized
 /// string, each folded once via [`fold_type_group`].
-pub(crate) fn fold_types_from_counts(
+fn fold_types_from_counts(
     kb: &Kb,
     resolution: &TableResolution,
     counts: &HashMap<u32, usize>,
@@ -297,7 +447,7 @@ pub(crate) fn fold_types_from_counts(
 
 /// [`fold_types_from_counts`] for an ordered column pair's per-distinct
 /// value-id-pair counts, sorted by `(norm_a, norm_b)`.
-pub(crate) fn fold_rels_from_counts(
+fn fold_rels_from_counts(
     kb: &Kb,
     resolution: &TableResolution,
     counts: &HashMap<(u32, u32), usize>,
@@ -319,7 +469,7 @@ pub(crate) fn fold_rels_from_counts(
     acc
 }
 
-pub(crate) fn rank_types(
+fn rank_types(
     kb: &Kb,
     acc: HashMap<ClassId, (f64, usize)>,
     non_null: usize,
@@ -353,7 +503,7 @@ pub(crate) fn rank_types(
     list
 }
 
-pub(crate) fn rank_rels(
+fn rank_rels(
     kb: &Kb,
     acc: HashMap<PropertyId, (f64, usize, bool)>,
     non_null: usize,

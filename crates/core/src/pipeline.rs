@@ -1,8 +1,20 @@
 //! The end-to-end KATARA pipeline (§2, Fig. 9): pattern discovery →
 //! pattern validation → data annotation → possible repairs, plus multi-KB
 //! selection (a §9 future-work item implemented here).
+//!
+//! There is one cleaning run. [`Katara::clean`] adopts or builds the
+//! query snapshot and runs it once; the incremental
+//! [`DeltaSession`](crate::delta::DeltaSession) folds its edits into a
+//! long-lived snapshot and runs it again. What differs between the two
+//! travels in the run's caches: how the candidate lists are made (a
+//! fresh window scan and full fold, or a re-fold of a maintained
+//! window's dirty lists), the rows whose Full match carries over into
+//! annotation, and the repair index with its per-row repairs, reused
+//! while the effective pattern and the KB version hold. A one-shot clean
+//! starts with all three empty.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use katara_crowd::{Crowd, CrowdStats, Oracle};
@@ -12,13 +24,16 @@ use katara_obs::{Counter, Gauge, NoopRecorder, Recorder, Span};
 use katara_table::Table;
 
 use crate::annotation::{annotate_resolved_cached, AnnotationConfig, AnnotationResult};
-use crate::candidates::{discover_candidates, discover_candidates_resolved, CandidateConfig};
+use crate::candidates::{discover_candidates, CandidateConfig, WindowCounts};
+use crate::delta::FullRows;
 use crate::error::KataraError;
 use crate::pattern::TablePattern;
 use crate::rank_join::{discover_topk_with_stats, DiscoveryConfig, DiscoveryStats};
 use crate::repair::{generate_repairs_resolved, Repair, RepairConfig, RepairIndex};
 use crate::resolve::TableResolution;
-use crate::validation::{validate_patterns, SchedulingStrategy, ValidationConfig};
+use crate::validation::{
+    validate_patterns, SchedulingStrategy, ValidationConfig, ValidationOutcome,
+};
 
 /// End-to-end configuration.
 #[derive(Debug, Clone)]
@@ -247,31 +262,77 @@ impl Katara {
         crowd: &mut Crowd<O>,
         shared: Option<&TableResolution>,
     ) -> Result<CleaningReport, KataraError> {
-        self.clean_patching(table, kb, crowd, &mut shared.map(Cow::Borrowed))
+        let mut caches = RunCaches::default();
+        let (report, _) = self.clean_caching(table, kb, crowd, shared, &mut caches)?;
+        Ok(report)
     }
 
-    /// [`clean_with_resolution`](Self::clean_with_resolution) over a
-    /// caller-held copy-on-write snapshot. `None` is filled with the
-    /// run's own build; on success the snapshot is current for the
-    /// enriched `kb`.
-    pub(crate) fn clean_patching<O: Oracle>(
+    /// [`clean_with_resolution`](Self::clean_with_resolution) with the
+    /// caller's [`RunCaches`], returning the snapshot too: on success it
+    /// is current for the enriched `kb`.
+    pub(crate) fn clean_caching<'s, O: Oracle>(
         &self,
         table: &Table,
         kb: &mut Kb,
         crowd: &mut Crowd<O>,
-        snapshot: &mut Option<Cow<'_, TableResolution>>,
-    ) -> Result<CleaningReport, KataraError> {
+        shared: Option<&'s TableResolution>,
+        caches: &mut RunCaches,
+    ) -> Result<(CleaningReport, Cow<'s, TableResolution>), KataraError> {
         debug_assert!(
-            snapshot.as_ref().is_none_or(|r| r.is_current(kb)),
+            shared.is_none_or(|r| r.is_current(kb)),
             "clean needs a snapshot current for its KB"
         );
+        self.open_run(crowd)?;
+        let rec = self.config.recorder.as_ref();
+        let _root = Span::enter(rec, "clean");
+        // (0) The shared query snapshot: adopt the injected one, or
+        // build it once for the whole run.
+        let mut snapshot = {
+            let _span = Span::enter(rec, "resolve");
+            match shared {
+                Some(shared) => Cow::Borrowed(shared),
+                None => Cow::Owned(
+                    TableResolution::build(table, kb, self.config.candidates.max_rows)
+                        .with_recorder(self.config.recorder.clone()),
+                ),
+            }
+        };
+        let report = self.run(table, kb, crowd, &mut snapshot, caches)?;
+        Ok((report, snapshot))
+    }
+
+    /// Arm `crowd` with the run's deadline and make the run's first
+    /// deadline check: expiry before any pattern exists leaves nothing to
+    /// degrade to. The caller then opens its root span.
+    pub(crate) fn open_run<O: Oracle>(&self, crowd: &mut Crowd<O>) -> Result<(), KataraError> {
+        crowd.set_deadline(self.config.deadline.clone());
+        if self.config.deadline.expired() {
+            return Err(KataraError::DeadlineExceeded { phase: "resolve" });
+        }
+        Ok(())
+    }
+
+    /// The cleaning run: discover → validate → annotate → repair over
+    /// `snapshot` (current for `kb`), then the crowd accounting and the
+    /// report. [`Self::clean_caching`] calls it once the snapshot is
+    /// adopted or built, and
+    /// [`DeltaSession::clean_delta`](crate::delta::DeltaSession::clean_delta)
+    /// once its edits are folded in; `caches` carries what differs
+    /// between them.
+    pub(crate) fn run<O: Oracle>(
+        &self,
+        table: &Table,
+        kb: &mut Kb,
+        crowd: &mut Crowd<O>,
+        snapshot: &mut Cow<'_, TableResolution>,
+        caches: &mut RunCaches,
+    ) -> Result<CleaningReport, KataraError> {
         // One recorder for the whole run: KataraConfig's wins — it is
         // injected into every stage config the pipeline actually runs.
-        // The deadline travels the same way, plus into the crowd, so all
-        // cancellation points consult one shared cutoff.
+        // The deadline travels the same way (the crowd got it in
+        // `open_run`), so all cancellation points consult one cutoff.
         let rec = self.config.recorder.clone();
         let dl = self.config.deadline.clone();
-        crowd.set_deadline(dl.clone());
         let candidates_cfg = CandidateConfig {
             recorder: rec.clone(),
             ..self.config.candidates.clone()
@@ -293,11 +354,6 @@ impl Katara {
             deadline: dl.clone(),
             ..self.config.repair.clone()
         };
-        // Expiry before any pattern exists leaves nothing to degrade to.
-        if dl.expired() {
-            return Err(KataraError::DeadlineExceeded { phase: "resolve" });
-        }
-        let root = Span::enter(rec.as_ref(), "clean");
         rec.set_gauge(Gauge::TableRows, table.num_rows() as u64);
         rec.set_gauge(Gauge::TableColumns, table.num_columns() as u64);
         // Snapshot crowd stats so the degradation report covers only
@@ -305,24 +361,34 @@ impl Katara {
         // spend between validation and annotation.
         let stats_before = crowd.stats().clone();
         let mut asked_mark: CrowdStats = stats_before.clone();
-        // (0) The shared query snapshot: adopt the injected one, or
-        // build it once for the whole run.
-        let snapshot = {
-            let _span = Span::enter(rec.as_ref(), "resolve");
-            snapshot.get_or_insert_with(|| {
-                Cow::Owned(
-                    TableResolution::build(table, kb, self.config.candidates.max_rows)
-                        .with_recorder(rec.clone()),
-                )
-            })
-        };
         if dl.expired() {
             return Err(KataraError::DeadlineExceeded { phase: "discover" });
         }
-        // (1) Pattern discovery.
+        // A run over a maintained window is an incremental replay: its
+        // re-folds and fresh repairs are counted under `delta.*`.
+        let replay = caches.window.is_some();
+
+        // (1) Pattern discovery, over a fresh window or the re-folded
+        // dirty lists of a maintained one.
         let (patterns, discovery_stats) = {
             let _span = Span::enter(rec.as_ref(), "discover");
-            let cands = discover_candidates_resolved(table, kb, snapshot, &candidates_cfg);
+            let cands = match &mut caches.window {
+                Some(window) => {
+                    // Memoize any pair combination edits introduced
+                    // before the fold reads it.
+                    let memo = snapshot.to_mut();
+                    for (a, b) in window.dirty_pairs() {
+                        memo.ensure_pair(kb, a, b);
+                    }
+                    let rescored = window.fold(kb, snapshot, &candidates_cfg);
+                    rec.incr_by(Counter::DeltaPatternsRescored, rescored as u64);
+                    window.candidate_set()
+                }
+                None => {
+                    let window = WindowCounts::discover(table, kb, snapshot, &candidates_cfg);
+                    caches.window.insert(window).candidate_set()
+                }
+            };
             discover_topk_with_stats(table, kb, &cands, self.config.patterns_k, &discovery_cfg)
         };
         if patterns.is_empty() {
@@ -344,11 +410,12 @@ impl Katara {
             }
         };
 
-        // (2) Pattern validation via the crowd. The scheduler loop and
-        // the crowd's ask loop both check the deadline; at the phase
-        // boundary an already-expired deadline skips the crowd entirely
-        // and falls back to discovery-score order, exactly like a
-        // zero-question budget.
+        // (2) Pattern validation via the crowd, re-run every time (crowd
+        // state is not cacheable). The scheduler loop and the crowd's ask
+        // loop both check the deadline; at the phase boundary an
+        // already-expired deadline skips the crowd entirely and falls
+        // back to discovery-score order, exactly like a zero-question
+        // budget.
         let outcome = {
             let _span = Span::enter(rec.as_ref(), "validate");
             if dl.expired() {
@@ -358,7 +425,7 @@ impl Katara {
                     .into_iter()
                     .next()
                     .expect("non-empty checked above");
-                crate::validation::ValidationOutcome {
+                ValidationOutcome {
                     pattern,
                     variables_validated: 0,
                     questions_asked: 0,
@@ -389,10 +456,17 @@ impl Katara {
         );
         let pattern = outcome.pattern;
 
-        // (3) Data annotation (mutates the KB through enrichment — the
-        // snapshot is patched with every write before its next read).
+        // (3) Data annotation, skipping the carried-over rows whose Full
+        // match under this same pattern is still guaranteed. It mutates
+        // the KB through enrichment — the snapshot is patched with every
+        // write before its next read — and the enrichment makes every
+        // folded list stale (tf-idf inputs may have moved).
         let annotation = {
             let _span = Span::enter(rec.as_ref(), "annotate");
+            let full = caches
+                .full_rows
+                .as_ref()
+                .and_then(|f| f.for_pattern(&pattern));
             annotate_resolved_cached(
                 table,
                 &pattern,
@@ -400,7 +474,7 @@ impl Katara {
                 crowd,
                 &annotation_cfg,
                 Some(&mut *snapshot),
-                None,
+                full,
             )
         };
         mark_phase("annotate", &mut deadline_phase);
@@ -418,11 +492,17 @@ impl Katara {
             Counter::AnnotationEnrichedEntities,
             annotation.enriched_entities as u64,
         );
+        if !annotation.delta.is_empty() {
+            if let Some(window) = &mut caches.window {
+                window.mark_all_dirty();
+            }
+        }
 
         // (4) Top-k possible repairs for the erroneous tuples. The index
         // is built after annotation so enriched facts contribute
         // instance graphs; the *effective* pattern (after annotation-time
-        // feedback) drives repair.
+        // feedback) drives repair. Cached rows are reused while the
+        // effective pattern and the KB version hold.
         let effective = annotation.pattern.clone();
         let repairs = {
             let _span = Span::enter(rec.as_ref(), "repair");
@@ -436,20 +516,45 @@ impl Katara {
                 deadline_phase.get_or_insert("repair");
                 Vec::new()
             } else {
-                let index = RepairIndex::build(kb, &effective, &repair_cfg);
+                let cache = &mut caches.repairs;
+                let key = Some((effective.clone(), kb.version()));
+                if cache.key != key {
+                    *cache = RepairCache {
+                        key,
+                        ..RepairCache::default()
+                    };
+                }
+                let index = cache
+                    .index
+                    .get_or_insert_with(|| RepairIndex::build(kb, &effective, &repair_cfg));
+                let erroneous = annotation.erroneous_rows();
+                let live: Vec<usize> = erroneous
+                    .iter()
+                    .copied()
+                    .filter(|r| !cache.rows.contains_key(r))
+                    .collect();
+                if replay {
+                    rec.incr_by(Counter::DeltaTuplesRepaired, live.len() as u64);
+                }
                 // Repair only consumes the snapshot's string tier
                 // (normalized cells).
-                generate_repairs_resolved(
-                    &index,
+                cache.rows.extend(generate_repairs_resolved(
+                    index,
                     kb,
                     &effective,
                     table,
-                    &annotation.erroneous_rows(),
+                    &live,
                     self.config.repairs_k,
                     &repair_cfg,
                     self.config.threads,
                     Some(&**snapshot),
-                )
+                ));
+                let repairs: Vec<(usize, Vec<Repair>)> = erroneous
+                    .iter()
+                    .filter_map(|&r| cache.rows.get(&r).map(|v| (r, v.clone())))
+                    .collect();
+                cache.rows = repairs.iter().cloned().collect();
+                repairs
             }
         };
         mark_phase("repair", &mut deadline_phase);
@@ -465,11 +570,19 @@ impl Katara {
             run_stats.no_quorum_questions as u64,
         );
         rec.incr_by(Counter::CrowdBudgetDenied, run_stats.budget_denied as u64);
-        record_quality_counters(rec.as_ref(), &run_stats);
+        rec.incr_by(Counter::CrowdEscalations, run_stats.escalations as u64);
+        rec.incr_by(Counter::CrowdEmIterations, run_stats.em_iterations as u64);
+        rec.incr_by(
+            Counter::CrowdPosteriorConfident,
+            run_stats.posterior_confident as u64,
+        );
+        rec.incr_by(
+            Counter::CrowdQuestionsSaved,
+            run_stats.questions_saved as u64,
+        );
         if let Some(remaining) = crowd.budget_remaining() {
             rec.set_gauge(Gauge::CrowdBudgetRemaining, remaining as u64);
         }
-        drop(root);
         let degradation = DegradationReport {
             questions_retried: run_stats.questions_retried,
             escalations: run_stats.escalations,
@@ -497,6 +610,16 @@ impl Katara {
             posterior_confident: run_stats.posterior_confident,
             questions_saved: run_stats.questions_saved,
         };
+        if let Some(full) = &mut caches.full_rows {
+            full.refresh(
+                kb,
+                table,
+                snapshot,
+                &pattern,
+                &annotation,
+                degradation.deadline_expired,
+            );
+        }
 
         Ok(CleaningReport {
             pattern: effective,
@@ -509,11 +632,40 @@ impl Katara {
     }
 }
 
+/// What a cleaning run reuses from the previous run and leaves for the
+/// next. A one-shot clean starts from the empty default and drops it;
+/// the incremental session keeps one alive between its runs.
+#[derive(Default)]
+pub(crate) struct RunCaches {
+    /// The discovery window and its folded lists. `None`: the run scans
+    /// and folds a fresh window and leaves it here; `Some`: the run
+    /// re-folds only its dirty lists.
+    pub(crate) window: Option<WindowCounts>,
+    /// Rows whose Full match carries over between runs; `None` for a
+    /// one-shot clean, which never reuses annotations.
+    pub(crate) full_rows: Option<FullRows>,
+    /// Repair work, reused while the effective pattern and the KB
+    /// version hold.
+    pub(crate) repairs: RepairCache,
+}
+
+/// The repair index and the per-row top-k repairs of the last run,
+/// valid for one (effective pattern, KB version) key. Repair results are
+/// per-row deterministic functions of (row cells, key), so a row whose
+/// cells did not change is served from here.
+#[derive(Default)]
+pub(crate) struct RepairCache {
+    key: Option<(TablePattern, u64)>,
+    index: Option<RepairIndex>,
+    /// Erroneous row → its top-k repairs.
+    pub(crate) rows: HashMap<usize, Vec<Repair>>,
+}
+
 /// Export the crowd questions asked since `mark` under `counter`, then
 /// advance `mark` to the crowd's current totals — splits one crowd's
 /// spend between consecutive pipeline phases without touching the phase
 /// signatures.
-pub(crate) fn record_phase_questions(
+fn record_phase_questions(
     rec: &dyn Recorder,
     now: &CrowdStats,
     mark: &mut CrowdStats,
@@ -521,21 +673,6 @@ pub(crate) fn record_phase_questions(
 ) {
     rec.incr_by(counter, now.since(mark).questions() as u64);
     *mark = now.clone();
-}
-
-/// Export the worker-quality-inference counters from one run's crowd
-/// stats delta — shared by the full and the delta pipelines.
-pub(crate) fn record_quality_counters(rec: &dyn Recorder, run_stats: &CrowdStats) {
-    rec.incr_by(Counter::CrowdEscalations, run_stats.escalations as u64);
-    rec.incr_by(Counter::CrowdEmIterations, run_stats.em_iterations as u64);
-    rec.incr_by(
-        Counter::CrowdPosteriorConfident,
-        run_stats.posterior_confident as u64,
-    );
-    rec.incr_by(
-        Counter::CrowdQuestionsSaved,
-        run_stats.questions_saved as u64,
-    );
 }
 
 /// Multi-KB selection (§2: "the pattern discovery module can be used to

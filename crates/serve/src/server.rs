@@ -507,7 +507,6 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
 /// Dispatch one parsed request. Pure with respect to the socket, so the
 /// unit tests drive it directly.
 fn route(state: &ServerState, req: &Request) -> (u16, String, Vec<(String, String)>) {
-    let rec = state.recorder.as_ref();
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             // Durability state rides along in durable mode: a broken
@@ -538,32 +537,8 @@ fn route(state: &ServerState, req: &Request) -> (u16, String, Vec<(String, Strin
             (200, body, Vec::new())
         }
         ("GET", "/metrics") => (200, state.recorder.snapshot().to_json(), Vec::new()),
-        ("POST", "/clean") => {
-            let Ok(slot) = InFlightSlot::acquire(state) else {
-                rec.incr(Counter::ServeShed);
-                return (
-                    429,
-                    error_body("shed", "too many requests in flight"),
-                    vec![("Retry-After".to_string(), "1".to_string())],
-                );
-            };
-            let out = handle_clean(state, req);
-            drop(slot);
-            (out.0, out.1, Vec::new())
-        }
-        ("POST", "/delta") => {
-            let Ok(slot) = InFlightSlot::acquire(state) else {
-                rec.incr(Counter::ServeShed);
-                return (
-                    429,
-                    error_body("shed", "too many requests in flight"),
-                    vec![("Retry-After".to_string(), "1".to_string())],
-                );
-            };
-            let out = handle_delta(state, req);
-            drop(slot);
-            (out.0, out.1, Vec::new())
-        }
+        ("POST", "/clean") => admit(state, req, handle_clean),
+        ("POST", "/delta") => admit(state, req, handle_delta),
         (_, "/healthz" | "/metrics" | "/clean" | "/delta") => (
             405,
             error_body(
@@ -576,55 +551,155 @@ fn route(state: &ServerState, req: &Request) -> (u16, String, Vec<(String, Strin
     }
 }
 
-/// The `/clean` endpoint: CSV body in, cleaning report out.
-fn handle_clean(state: &ServerState, req: &Request) -> (u16, String) {
-    let rec = state.recorder.as_ref();
-
-    // Quarantine gate: the body must be UTF-8 CSV with at least one
-    // usable record after lenient ingestion.
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        rec.incr(Counter::ServeQuarantined);
-        return (400, error_body("quarantined", "body is not UTF-8"));
-    };
-    let (table, table_report) =
-        match csv::parse_with_policy("request", text, &katara_table::IngestPolicy::lenient()) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                rec.incr(Counter::ServeQuarantined);
-                return (400, error_body("quarantined", &e.to_string()));
-            }
-        };
-    if table.num_rows() == 0 || table.num_columns() == 0 {
-        rec.incr(Counter::ServeQuarantined);
+/// Admission control for the cleaning endpoints: run `handler` on the
+/// UTF-8 body inside an in-flight slot, or shed with `429` when every
+/// slot is taken.
+fn admit(
+    state: &ServerState,
+    req: &Request,
+    handler: fn(&ServerState, &Request, &str) -> (u16, String),
+) -> (u16, String, Vec<(String, String)>) {
+    let Ok(_slot) = InFlightSlot::acquire(state) else {
+        state.recorder.incr(Counter::ServeShed);
         return (
-            400,
-            error_body("quarantined", "no usable CSV records in body"),
+            429,
+            error_body("shed", "too many requests in flight"),
+            vec![("Retry-After".to_string(), "1".to_string())],
         );
-    }
+    };
+    let (status, body) = match std::str::from_utf8(&req.body) {
+        Ok(text) => handler(state, req, text),
+        Err(_) => quarantine(state, "body is not UTF-8"),
+    };
+    (status, body, Vec::new())
+}
 
-    // Per-request knobs.
+/// Count a quarantined request and answer `400`.
+fn quarantine(state: &ServerState, detail: &str) -> (u16, String) {
+    state.recorder.incr(Counter::ServeQuarantined);
+    (400, error_body("quarantined", detail))
+}
+
+/// A table request's CSV body and `crowd=` policy. The body must hold at
+/// least one usable record after lenient ingestion; anything else is
+/// quarantined.
+fn parse_table_request(
+    state: &ServerState,
+    req: &Request,
+    text: &str,
+) -> Result<(katara_table::Table, IngestSummary, ServePolicy), (u16, String)> {
+    let (table, report) =
+        csv::parse_with_policy("request", text, &katara_table::IngestPolicy::lenient())
+            .map_err(|e| quarantine(state, &e.to_string()))?;
+    if table.num_rows() == 0 || table.num_columns() == 0 {
+        return Err(quarantine(state, "no usable CSV records in body"));
+    }
     let policy = match req.query_param("crowd") {
         None => state.policy.clone(),
         Some("trust") => ServePolicy::Trust,
         Some("skeptic") => ServePolicy::Skeptic,
         Some(other) => {
-            rec.incr(Counter::ServeQuarantined);
-            return (
-                400,
-                error_body("quarantined", &format!("unknown crowd policy {other:?}")),
-            );
+            return Err(quarantine(
+                state,
+                &format!("unknown crowd policy {other:?}"),
+            ))
         }
     };
+    let ingest = IngestSummary {
+        kb: None,
+        table: Some(report),
+    };
+    Ok((table, ingest, policy))
+}
+
+/// The daemon's crowd for one request: one deterministic answer per
+/// question from `policy`, within `budget`.
+fn serve_crowd(policy: ServePolicy, budget: Budget) -> Result<Crowd<ServeOracle>, (u16, String)> {
+    Crowd::new(
+        CrowdConfig {
+            replication: 1,
+            worker_accuracy: 1.0,
+            budget,
+            ..CrowdConfig::default()
+        },
+        ServeOracle { policy },
+    )
+    .map_err(|e| (500, error_body("internal", &format!("crowd setup: {e}"))))
+}
+
+/// The pipeline configuration every request runs under; `/delta`
+/// sessions pass enrichment off and no deadline.
+fn pipeline_config(state: &ServerState, deadline: Deadline, enrich_kb: bool) -> KataraConfig {
+    KataraConfig {
+        repairs_k: state.config.repairs_k,
+        threads: state.config.threads,
+        candidates: CandidateConfig {
+            threads: state.config.threads,
+            ..CandidateConfig::default()
+        },
+        validation: ValidationConfig {
+            questions_per_variable: 1,
+            ..ValidationConfig::default()
+        },
+        annotation: AnnotationConfig {
+            enrich_kb,
+            ..AnnotationConfig::default()
+        },
+        recorder: state.recorder.clone() as Arc<dyn Recorder>,
+        deadline,
+        ..KataraConfig::default()
+    }
+}
+
+/// Answer a clean's outcome: `200` complete or `206` degraded, with
+/// `body` rendering the report; `400` a bad delta, `408` a deadline that
+/// expired before any partial result, `422` an uncovered table
+/// (`uncovered` says how), `500` anything else.
+fn respond(
+    state: &ServerState,
+    result: Result<CleaningReport, KataraError>,
+    uncovered: &str,
+    body: impl FnOnce(&CleaningReport) -> String,
+) -> (u16, String) {
+    let rec = state.recorder.as_ref();
+    match result {
+        Ok(report) => {
+            let degraded = report.degradation.is_degraded();
+            if degraded {
+                rec.incr(Counter::ServeDegraded);
+            }
+            if report.degradation.deadline_expired {
+                rec.incr(Counter::ServeTimeouts);
+            }
+            (if degraded { 206 } else { 200 }, body(&report))
+        }
+        Err(KataraError::DeadlineExceeded { phase }) => {
+            rec.incr(Counter::ServeTimeouts);
+            (
+                408,
+                format!(
+                    "{{\"error\":\"deadline\",\"detail\":\"expired before the {} phase\"}}",
+                    json_escape(phase)
+                ),
+            )
+        }
+        Err(e @ KataraError::BadDelta { .. }) => quarantine(state, &e.to_string()),
+        Err(KataraError::NoPatternFound { .. }) => (422, error_body("no pattern", uncovered)),
+        Err(e) => (500, error_body("internal", &e.to_string())),
+    }
+}
+
+/// The `/clean` endpoint: CSV body in, cleaning report out.
+fn handle_clean(state: &ServerState, req: &Request, text: &str) -> (u16, String) {
+    let (table, ingest, policy) = match parse_table_request(state, req, text) {
+        Ok(parsed) => parsed,
+        Err(response) => return response,
+    };
+    // Per-request knobs.
     let deadline = match req.query_param("deadline_ms") {
         Some(ms) => match ms.parse::<u64>() {
             Ok(ms) => Deadline::after(Duration::from_millis(ms)),
-            Err(_) => {
-                rec.incr(Counter::ServeQuarantined);
-                return (
-                    400,
-                    error_body("quarantined", "deadline_ms must be an integer"),
-                );
-            }
+            Err(_) => return quarantine(state, "deadline_ms must be an integer"),
         },
         None => match state.config.default_deadline {
             Some(d) => Deadline::after(d),
@@ -634,16 +709,11 @@ fn handle_clean(state: &ServerState, req: &Request) -> (u16, String) {
     let budget = match req.query_param("max_questions") {
         Some(n) => match n.parse::<usize>() {
             Ok(n) => Budget::questions(n),
-            Err(_) => {
-                rec.incr(Counter::ServeQuarantined);
-                return (
-                    400,
-                    error_body("quarantined", "max_questions must be an integer"),
-                );
-            }
+            Err(_) => return quarantine(state, "max_questions must be an integer"),
         },
         None => Budget::unlimited(),
     };
+    let config = pipeline_config(state, deadline, true);
 
     // Per-request KB clone: enrichment must never leak across requests
     // (and the warm snapshots stay valid against the base they were
@@ -656,13 +726,10 @@ fn handle_clean(state: &ServerState, req: &Request) -> (u16, String) {
     // bypasses it (the bench measures exactly this difference). Every
     // snapshot records into the server recorder, so `GET /metrics`
     // reports the `resolve.*` tiers of cached and cold runs alike.
-    let candidates_cfg = CandidateConfig {
-        threads: state.config.threads,
-        ..CandidateConfig::default()
-    };
+    let rec = state.recorder.as_ref();
     let build = || {
         Arc::new(
-            TableResolution::build(&table, &kb, candidates_cfg.max_rows)
+            TableResolution::build(&table, &kb, config.candidates.max_rows)
                 .with_recorder(state.recorder.clone()),
         )
     };
@@ -690,87 +757,34 @@ fn handle_clean(state: &ServerState, req: &Request) -> (u16, String) {
         }
     };
 
-    let mut crowd = match Crowd::new(
-        CrowdConfig {
-            replication: 1,
-            worker_accuracy: 1.0,
-            budget,
-            ..CrowdConfig::default()
-        },
-        ServeOracle { policy },
-    ) {
-        Ok(c) => c,
-        Err(e) => return (500, error_body("internal", &format!("crowd setup: {e}"))),
+    let mut crowd = match serve_crowd(policy, budget) {
+        Ok(crowd) => crowd,
+        Err(response) => return response,
     };
-    let config = KataraConfig {
-        repairs_k: state.config.repairs_k,
-        threads: state.config.threads,
-        candidates: candidates_cfg,
-        validation: ValidationConfig {
-            questions_per_variable: 1,
-            ..ValidationConfig::default()
-        },
-        recorder: state.recorder.clone() as Arc<dyn Recorder>,
-        deadline,
-        ..KataraConfig::default()
-    };
-    match Katara::new(config).clean_with_resolution(&table, &mut kb, &mut crowd, Some(&resolution))
-    {
-        Ok(mut report) => {
-            let ingest = IngestSummary {
-                kb: None,
-                table: Some(table_report),
-            };
+    let result = Katara::new(config)
+        .clean_with_resolution(&table, &mut kb, &mut crowd, Some(&resolution))
+        .map(|mut report| {
             ingest.apply_to(&mut report.degradation);
             persist_enrichment(state, &mut report);
-            let degraded = report.degradation.is_degraded();
-            if degraded {
-                rec.incr(Counter::ServeDegraded);
-            }
-            if report.degradation.deadline_expired {
-                rec.incr(Counter::ServeTimeouts);
-            }
-            let status = if degraded { 206 } else { 200 };
-            (status, report_body(&report, &kb, &table))
-        }
-        Err(KataraError::DeadlineExceeded { phase }) => {
-            rec.incr(Counter::ServeTimeouts);
-            (
-                408,
-                format!(
-                    "{{\"error\":\"deadline\",\"detail\":\"expired before the {} phase\"}}",
-                    json_escape(phase)
-                ),
-            )
-        }
-        Err(KataraError::NoPatternFound { .. }) => (
-            422,
-            error_body("no pattern", "the KB does not cover this table"),
-        ),
-        Err(e) => (500, error_body("internal", &e.to_string())),
-    }
+            report
+        });
+    respond(
+        state,
+        result,
+        "the KB does not cover this table",
+        |report| report_body(report, &kb, &table),
+    )
 }
 
 /// The `/delta` endpoint (DESIGN.md §5j). Without `base` the CSV body
 /// bootstraps a warm [`DeltaSession`]; with `base=<key>` the body is an
 /// edits CSV replayed incrementally against that session.
-fn handle_delta(state: &ServerState, req: &Request) -> (u16, String) {
-    let rec = state.recorder.as_ref();
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        rec.incr(Counter::ServeQuarantined);
-        return (400, error_body("quarantined", "body is not UTF-8"));
-    };
+fn handle_delta(state: &ServerState, req: &Request, text: &str) -> (u16, String) {
     match req.query_param("base") {
         None => bootstrap_delta_session(state, req, text),
         Some(key) => match u64::from_str_radix(key, 16) {
             Ok(key) => replay_delta(state, key, text),
-            Err(_) => {
-                rec.incr(Counter::ServeQuarantined);
-                (
-                    400,
-                    error_body("quarantined", "base must be a hex session key"),
-                )
-            }
+            Err(_) => quarantine(state, "base must be a hex session key"),
         },
     }
 }
@@ -782,107 +796,53 @@ fn handle_delta(state: &ServerState, req: &Request) -> (u16, String) {
 /// Sessions run with KB enrichment disabled, so the session's KB clone
 /// only ever advances through the catch-up ring — which is what makes
 /// version-chained catch-up sound. The crowd policy is fixed here;
-/// `base=` requests reuse it and ignore per-request overrides.
+/// `base=` requests reuse it and ignore per-request overrides, and so is
+/// the configuration: `deadline_ms` and `max_questions` do not apply.
 fn bootstrap_delta_session(state: &ServerState, req: &Request, text: &str) -> (u16, String) {
-    let rec = state.recorder.as_ref();
-    let (table, table_report) =
-        match csv::parse_with_policy("request", text, &katara_table::IngestPolicy::lenient()) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                rec.incr(Counter::ServeQuarantined);
-                return (400, error_body("quarantined", &e.to_string()));
-            }
-        };
-    if table.num_rows() == 0 || table.num_columns() == 0 {
-        rec.incr(Counter::ServeQuarantined);
-        return (
-            400,
-            error_body("quarantined", "no usable CSV records in body"),
-        );
-    }
-    let policy = match req.query_param("crowd") {
-        None => state.policy.clone(),
-        Some("trust") => ServePolicy::Trust,
-        Some("skeptic") => ServePolicy::Skeptic,
-        Some(other) => {
-            rec.incr(Counter::ServeQuarantined);
-            return (
-                400,
-                error_body("quarantined", &format!("unknown crowd policy {other:?}")),
-            );
-        }
+    let (table, ingest, policy) = match parse_table_request(state, req, text) {
+        Ok(parsed) => parsed,
+        Err(response) => return response,
     };
-
     let (mut kb, base_version) = clone_base_kb(state);
     let key = snapshot_key(req.body.as_slice(), base_version);
-    let mut crowd = match Crowd::new(
-        CrowdConfig {
-            replication: 1,
-            worker_accuracy: 1.0,
-            ..CrowdConfig::default()
-        },
-        ServeOracle {
-            policy: policy.clone(),
-        },
-    ) {
-        Ok(c) => c,
-        Err(e) => return (500, error_body("internal", &format!("crowd setup: {e}"))),
+    let mut crowd = match serve_crowd(policy.clone(), Budget::unlimited()) {
+        Ok(crowd) => crowd,
+        Err(response) => return response,
     };
-    let config = KataraConfig {
-        repairs_k: state.config.repairs_k,
-        threads: state.config.threads,
-        candidates: CandidateConfig {
-            threads: state.config.threads,
-            ..CandidateConfig::default()
-        },
-        validation: ValidationConfig {
-            questions_per_variable: 1,
-            ..ValidationConfig::default()
-        },
-        annotation: AnnotationConfig {
-            enrich_kb: false,
-            ..AnnotationConfig::default()
-        },
-        recorder: state.recorder.clone() as Arc<dyn Recorder>,
-        ..KataraConfig::default()
-    };
-    match Katara::new(config).delta_session(&table, &mut kb, &mut crowd) {
-        Ok((session, mut report)) => {
-            let ingest = IngestSummary {
-                kb: None,
-                table: Some(table_report),
-            };
+    let config = pipeline_config(state, Deadline::none(), false);
+    let mut session = None;
+    let result = Katara::new(config)
+        .delta_session(&table, &mut kb, &mut crowd)
+        .map(|(warm, mut report)| {
+            session = Some(warm);
             ingest.apply_to(&mut report.degradation);
-            let degraded = report.degradation.is_degraded();
-            if degraded {
-                rec.incr(Counter::ServeDegraded);
+            report
+        });
+    respond(
+        state,
+        result,
+        "the KB does not cover this table",
+        |report| {
+            let body = report_body(report, &kb, &table);
+            if let Some(session) = session {
+                let entry = Arc::new(Mutex::new(DeltaEntry {
+                    session,
+                    kb,
+                    policy,
+                }));
+                let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
+                if sessions.insert(key, entry).is_some() {
+                    state.recorder.incr(Counter::ServeSessionsEvicted);
+                }
             }
-            let body = report_body(&report, &kb, &table);
-            let entry = Arc::new(Mutex::new(DeltaEntry {
-                session,
-                kb,
-                policy,
-            }));
-            let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
-            if sessions.insert(key, entry).is_some() {
-                rec.incr(Counter::ServeSessionsEvicted);
-            }
-            drop(sessions);
-            let status = if degraded { 206 } else { 200 };
-            (status, with_session_key(key, &body))
-        }
-        Err(KataraError::NoPatternFound { .. }) => (
-            422,
-            error_body("no pattern", "the KB does not cover this table"),
-        ),
-        Err(e) => (500, error_body("internal", &e.to_string())),
-    }
+            with_session_key(key, &body)
+        },
+    )
 }
 
 /// Replay path: parse the edits CSV, catch the session up to the shared
 /// base through the enrichment ring, run the incremental clean.
 fn replay_delta(state: &ServerState, key: u64, text: &str) -> (u16, String) {
-    let rec = state.recorder.as_ref();
     let entry = {
         let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
         sessions.get(key)
@@ -896,10 +856,7 @@ fn replay_delta(state: &ServerState, key: u64, text: &str) -> (u16, String) {
     let mut guard = entry.lock().unwrap_or_else(|e| e.into_inner());
     let edits = match TableDelta::parse_csv(text, guard.session.table().num_columns()) {
         Ok(edits) => edits,
-        Err(e) => {
-            rec.incr(Counter::ServeQuarantined);
-            return (400, error_body("quarantined", &e.to_string()));
-        }
+        Err(e) => return quarantine(state, &e.to_string()),
     };
     if catch_up(state, &mut guard).is_err() {
         drop(guard);
@@ -918,39 +875,17 @@ fn replay_delta(state: &ServerState, key: u64, text: &str) -> (u16, String) {
         kb,
         policy,
     } = &mut *guard;
-    let mut crowd = match Crowd::new(
-        CrowdConfig {
-            replication: 1,
-            worker_accuracy: 1.0,
-            ..CrowdConfig::default()
-        },
-        ServeOracle {
-            policy: policy.clone(),
-        },
-    ) {
-        Ok(c) => c,
-        Err(e) => return (500, error_body("internal", &format!("crowd setup: {e}"))),
+    let mut crowd = match serve_crowd(policy.clone(), Budget::unlimited()) {
+        Ok(crowd) => crowd,
+        Err(response) => return response,
     };
-    match session.clean_delta(kb, &mut crowd, &edits) {
-        Ok(report) => {
-            let degraded = report.degradation.is_degraded();
-            if degraded {
-                rec.incr(Counter::ServeDegraded);
-            }
-            let status = if degraded { 206 } else { 200 };
-            let body = report_body(&report, kb, session.table());
-            (status, with_session_key(key, &body))
-        }
-        Err(e @ KataraError::BadDelta { .. }) => {
-            rec.incr(Counter::ServeQuarantined);
-            (400, error_body("quarantined", &e.to_string()))
-        }
-        Err(KataraError::NoPatternFound { .. }) => (
-            422,
-            error_body("no pattern", "the KB no longer covers this table"),
-        ),
-        Err(e) => (500, error_body("internal", &e.to_string())),
-    }
+    let result = session.clean_delta(kb, &mut crowd, &edits);
+    respond(
+        state,
+        result,
+        "the KB no longer covers this table",
+        |report| with_session_key(key, &report_body(report, kb, session.table())),
+    )
 }
 
 /// Splice the session key into a `report_body` JSON object.
