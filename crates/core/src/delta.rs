@@ -47,12 +47,13 @@
 //! string order — see [`crate::candidates`]), so re-folding maintained
 //! counts is bit-identical to re-scanning the window. Validation always
 //! re-runs (crowd state is not cacheable). Annotation reuses only rows
-//! that previously matched [`TupleMatch::Full`] under the *same*
-//! validated pattern with unchanged cells and monotone KB growth — such
-//! rows ask no crowd questions and trigger no enrichment, so skipping
-//! them is output-invisible. Repair results are per-row deterministic
-//! functions of (row cells, effective pattern, KB version) and are
-//! reused exactly when that triple is unchanged.
+//! that previously matched [`TupleMatch::Full`] under a validated
+//! pattern of the *same shape* (nodes and edges; matching never reads
+//! the score) with unchanged cells and monotone KB growth — such rows
+//! ask no crowd questions and trigger no enrichment, so skipping them is
+//! output-invisible. Repair results are per-row deterministic functions
+//! of (row cells, effective pattern shape, KB version) and are reused
+//! exactly when that triple is unchanged.
 
 use std::borrow::Cow;
 
@@ -314,8 +315,8 @@ impl DeltaSession {
 }
 
 /// The Full-row carry-over between a session's runs: rows guaranteed to
-/// still match `pattern` [`TupleMatch::Full`], which annotation under
-/// that same validated pattern skips.
+/// still match `pattern` [`TupleMatch::Full`], which annotation under a
+/// validated pattern of the same shape skips.
 #[derive(Debug, Default)]
 pub(crate) struct FullRows {
     /// The validated pattern `rows` was computed under.
@@ -326,9 +327,18 @@ pub(crate) struct FullRows {
 }
 
 impl FullRows {
+    /// True when the rows were computed under a pattern of `validated`'s
+    /// shape: matching reads nodes and edges, never the score.
+    fn computed_under(&self, validated: &TablePattern) -> bool {
+        self.pattern
+            .as_ref()
+            .is_some_and(|p| p.same_shape(validated))
+    }
+
     /// The carried-over rows, if they were computed under `validated`.
     pub(crate) fn for_pattern(&self, validated: &TablePattern) -> Option<&[bool]> {
-        (self.pattern.as_ref() == Some(validated)).then_some(self.rows.as_slice())
+        self.computed_under(validated)
+            .then_some(self.rows.as_slice())
     }
 
     /// Recompute the carry-over after a run: a row is cached iff it was
@@ -346,7 +356,7 @@ impl FullRows {
         deadline_expired: bool,
     ) {
         let prev = std::mem::take(&mut self.rows);
-        let prev_valid = self.pattern.as_ref() == Some(validated);
+        let prev_valid = self.computed_under(validated);
         self.rows = vec![false; table.num_rows()];
         if !annotation.feedback_stripped.is_empty() || deadline_expired {
             self.pattern = None;
@@ -412,12 +422,30 @@ mod tests {
     /// The pipeline test world: countries, capitals, players; the KB
     /// misses one capital fact and the table has one true error.
     fn setting() -> (Kb, Table) {
+        world(false)
+    }
+
+    /// [`setting`] where Italy, Spain and France are also `economy`s and
+    /// twenty more entities are only `country`s. Column 1's `country` then
+    /// sits below the top of its tf-idf list, so the pattern's score moves
+    /// with the column's values while its shape stays.
+    fn drift_setting() -> (Kb, Table) {
+        world(true)
+    }
+
+    fn world(economies: bool) -> (Kb, Table) {
         let mut b = katara_kb::KbBuilder::new().with_name("mini-yago");
         let person = b.class("person");
         let country = b.class("country");
         let capital = b.class("capital");
         let nationality = b.property("nationality");
         let has_capital = b.property("hasCapital");
+        let economy = economies.then(|| b.class("economy"));
+        if economies {
+            for i in 0..20 {
+                b.entity(&format!("Land {i}"), &[country]);
+            }
+        }
         let pairs = [
             ("Rossi", "Italy", "Rome"),
             ("Klate", "S. Africa", "Pretoria"),
@@ -427,7 +455,10 @@ mod tests {
         ];
         for (p, c, cap) in pairs {
             let rp = b.entity(p, &[person]);
-            let rc = b.entity(c, &[country]);
+            let rc = match economy {
+                Some(e) if c != "S. Africa" => b.entity(c, &[country, e]),
+                _ => b.entity(c, &[country]),
+            };
             let rcap = b.entity(cap, &[capital]);
             b.fact(rp, nationality, rc);
             if c != "S. Africa" {
@@ -691,6 +722,62 @@ mod tests {
             rec.counter_total(Counter::DeltaTuplesRepaired),
             1,
             "only the edited erroneous row is repaired afresh"
+        );
+    }
+
+    /// A replay whose edits move only the discovery score keeps the
+    /// repair index and the Full rows: both depend on the pattern's nodes
+    /// and edges, never on its score (§6.2).
+    #[test]
+    fn score_drift_keeps_the_repair_index_and_full_rows() {
+        let boot = || {
+            let (mut kb, t) = drift_setting();
+            let rec = Arc::new(RunRecorder::new());
+            let config = KataraConfig {
+                recorder: rec.clone(),
+                ..KataraConfig::default()
+            };
+            let (session, report) = Katara::new(config)
+                .delta_session(&t, &mut kb, &mut crowd())
+                .unwrap();
+            (kb, rec, session, report)
+        };
+        // One more fully matching row: more support, the same shape.
+        let delta = TableDelta {
+            edits: vec![upsert(4, &["Benzema", "France", "Paris"])],
+        };
+        let replay = |kb: &mut Kb, rec: &RunRecorder, session: &mut DeltaSession| {
+            let (graphs, lookups) = (
+                rec.counter_total(Counter::RepairGraphsBuilt),
+                rec.counter_total(Counter::ResolveCandidatesLookups),
+            );
+            let report = session.clean_delta(kb, &mut crowd(), &delta).unwrap();
+            let built = rec.counter_total(Counter::RepairGraphsBuilt) - graphs;
+            let read = rec.counter_total(Counter::ResolveCandidatesLookups) - lookups;
+            (report, built, read)
+        };
+
+        let (mut kb, rec, mut session, before) = boot();
+        let version = kb.version();
+        let (after, built, carried_lookups) = replay(&mut kb, &rec, &mut session);
+        assert_eq!(kb.version(), version, "the replay enriches nothing");
+        assert!(after.pattern.same_shape(&before.pattern));
+        assert_ne!(
+            after.pattern.score().to_bits(),
+            before.pattern.score().to_bits(),
+            "the edit must move the score"
+        );
+        assert_eq!(built, 0, "the repair index survives a score drift");
+
+        // The same replay on a session whose Full rows were dropped
+        // re-matches every row; the carried session must not.
+        let (mut kb2, rec2, mut dropped, _) = boot();
+        dropped.full_rows().pattern = None;
+        let (same, _, all_lookups) = replay(&mut kb2, &rec2, &mut dropped);
+        assert_eq!(format!("{same:?}"), format!("{after:?}"));
+        assert!(
+            carried_lookups < all_lookups,
+            "Full rows carried over: {carried_lookups} lookups vs {all_lookups}"
         );
     }
 

@@ -135,6 +135,14 @@ impl TablePattern {
         self.score = s;
     }
 
+    /// True when both patterns have the same nodes and edges, whatever
+    /// their scores. Matching, annotation and repair read only the shape
+    /// (§6.2: instance graphs depend on φ and the KB), so caches of their
+    /// results are keyed on it; the score can move with any table edit.
+    pub fn same_shape(&self, other: &TablePattern) -> bool {
+        self.nodes == other.nodes && self.edges == other.edges
+    }
+
     /// The node for a column, if the column is covered.
     pub fn node_for_column(&self, column: usize) -> Option<&PatternNode> {
         self.nodes.iter().find(|n| n.column == column)

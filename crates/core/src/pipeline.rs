@@ -502,7 +502,7 @@ impl Katara {
         // is built after annotation so enriched facts contribute
         // instance graphs; the *effective* pattern (after annotation-time
         // feedback) drives repair. Cached rows are reused while the
-        // effective pattern and the KB version hold.
+        // effective pattern's shape and the KB version hold.
         let effective = annotation.pattern.clone();
         let repairs = {
             let _span = Span::enter(rec.as_ref(), "repair");
@@ -517,10 +517,12 @@ impl Katara {
                 Vec::new()
             } else {
                 let cache = &mut caches.repairs;
-                let key = Some((effective.clone(), kb.version()));
-                if cache.key != key {
+                let fresh = cache.key.as_ref().is_some_and(|(pattern, version)| {
+                    *version == kb.version() && pattern.same_shape(&effective)
+                });
+                if !fresh {
                     *cache = RepairCache {
-                        key,
+                        key: Some((effective.clone(), kb.version())),
                         ..RepairCache::default()
                     };
                 }
@@ -650,9 +652,11 @@ pub(crate) struct RunCaches {
 }
 
 /// The repair index and the per-row top-k repairs of the last run,
-/// valid for one (effective pattern, KB version) key. Repair results are
-/// per-row deterministic functions of (row cells, key), so a row whose
-/// cells did not change is served from here.
+/// valid for one (effective pattern shape, KB version) key. Repair
+/// results are per-row deterministic functions of (row cells, key), so a
+/// row whose cells did not change is served from here. The key compares
+/// patterns by [`TablePattern::same_shape`]: repair never reads the
+/// score.
 #[derive(Default)]
 pub(crate) struct RepairCache {
     key: Option<(TablePattern, u64)>,

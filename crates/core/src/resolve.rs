@@ -35,7 +35,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use katara_kb::sim;
-use katara_kb::{ClassId, DeltaOp, Kb, ProbePlan, PropertyId, ResourceId};
+use katara_kb::{ClassId, DeltaOp, Kb, LabelSearchStats, ProbePlan, PropertyId, ResourceId};
 use katara_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use katara_table::Table;
 
@@ -52,15 +52,17 @@ struct ResolvedValue {
 
 impl ResolvedValue {
     /// Resolve one normalized value against `kb`: a `candidate_resources`
-    /// probe plus its `Q_types` closure.
-    fn resolve(kb: &Kb, norm: String) -> Self {
-        let candidates = kb.candidate_resources_normalized(&norm);
+    /// probe plus its `Q_types` closure, with the label-search work the
+    /// probe did.
+    fn resolve(kb: &Kb, norm: String) -> (Self, LabelSearchStats) {
+        let (candidates, search) = kb.candidate_resources_counted(&norm);
         let types = kb.types_for_candidates(&candidates);
-        ResolvedValue {
+        let value = ResolvedValue {
             norm,
             candidates,
             types,
-        }
+        };
+        (value, search)
     }
 }
 
@@ -100,6 +102,9 @@ pub struct TableResolution {
     /// `kb.plan_*` counters when a recorder is attached.
     plan_type_first: u64,
     plan_rel_first: u64,
+    /// Label-search work of the build-time resolves, emitted as
+    /// `kb.label_*` counters when a recorder is attached.
+    label_search: LabelSearchStats,
     /// Sink for per-tier lookup/hit/miss counters. Defaults to
     /// [`NoopRecorder`]; attach a live one with [`Self::with_recorder`].
     recorder: Arc<dyn Recorder>,
@@ -120,6 +125,7 @@ impl TableResolution {
         let mut refcounts: Vec<usize> = Vec::new();
         let mut cells = vec![vec![None; nrows]; ncols];
         let mut non_null_cells = 0usize;
+        let mut label_search = LabelSearchStats::default();
         for (c, col) in cells.iter_mut().enumerate() {
             for (r, slot) in col.iter_mut().enumerate() {
                 let Some(cell) = table.cell(r, c).as_str() else {
@@ -135,7 +141,9 @@ impl TableResolution {
                             None => {
                                 let id = u32::try_from(values.len())
                                     .expect("distinct-value space exhausted");
-                                values.push(ResolvedValue::resolve(kb, norm.clone()));
+                                let (value, search) = ResolvedValue::resolve(kb, norm.clone());
+                                label_search += search;
+                                values.push(value);
                                 refcounts.push(0);
                                 by_norm.insert(norm, id);
                                 id
@@ -186,6 +194,7 @@ impl TableResolution {
             non_null_cells,
             plan_type_first,
             plan_rel_first,
+            label_search,
             recorder: Arc::new(NoopRecorder),
         }
     }
@@ -193,15 +202,34 @@ impl TableResolution {
     /// Attach a recorder: subsequent tier accesses emit
     /// `resolve.{candidates,types,pair}_{lookups,hit}` and
     /// `resolve.pair_miss` counters, patches emit
-    /// `resolve.values_repatched`, and the snapshot's shape is published
-    /// as gauges.
+    /// `resolve.values_repatched`, the build's probe plans and label
+    /// searches are emitted as `kb.plan_*` and `kb.label_*` counters, and
+    /// the snapshot's shape is published as gauges.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         recorder.set_gauge(Gauge::ResolveDistinctValues, self.values.len() as u64);
         recorder.set_gauge(Gauge::ResolveNonNullCells, self.non_null_cells as u64);
         recorder.incr_by(Counter::KbPlanTypeFirst, self.plan_type_first);
         recorder.incr_by(Counter::KbPlanRelFirst, self.plan_rel_first);
         self.recorder = recorder;
+        self.record_label_search(self.label_search);
         self
+    }
+
+    fn record_label_search(&self, search: LabelSearchStats) {
+        self.recorder
+            .incr_by(Counter::KbLabelFuzzyLookups, search.fuzzy_lookups);
+        self.recorder
+            .incr_by(Counter::KbLabelPostingsScanned, search.postings_scanned);
+        self.recorder
+            .incr_by(Counter::KbLabelCandidatesScored, search.candidates_scored);
+    }
+
+    /// Resolve one normalized value after the build, recording its label
+    /// search on the attached recorder.
+    fn resolve_live(&self, kb: &Kb, norm: String) -> ResolvedValue {
+        let (value, search) = ResolvedValue::resolve(kb, norm);
+        self.record_label_search(search);
+        value
     }
 
     /// `Q_rels` for `(a, b)` from the cached candidate lists, tallying
@@ -337,7 +365,8 @@ impl TableResolution {
             return (id, false);
         }
         let id = u32::try_from(self.values.len()).expect("distinct-value space exhausted");
-        self.values.push(ResolvedValue::resolve(kb, norm.clone()));
+        let value = self.resolve_live(kb, norm.clone());
+        self.values.push(value);
         self.refcounts.push(0);
         self.by_norm.insert(norm, id);
         (id, true)
@@ -437,8 +466,8 @@ impl TableResolution {
 
     /// Recompute one value's KB tiers from the live KB.
     fn re_resolve(&mut self, kb: &Kb, id: u32) {
-        let v = &mut self.values[id as usize];
-        *v = ResolvedValue::resolve(kb, std::mem::take(&mut v.norm));
+        let norm = std::mem::take(&mut self.values[id as usize].norm);
+        self.values[id as usize] = self.resolve_live(kb, norm);
     }
 
     /// Patch the cached KB tiers for enrichment writes `kb` has already

@@ -11,15 +11,21 @@
 //! * KB probe counters count *logical* probes — one per non-null cell
 //!   or same-row cell pair the discovery scan visits — not snapshot
 //!   cache traffic;
+//! * the label-search counters count fuzzy lookups, one per distinct
+//!   value the exact label index misses;
 //! * the deterministic section of [`RunMetrics`] is byte-identical
 //!   across worker-pool sizes — the CI gate's contract, asserted here
 //!   at the library level.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use katara_core::prelude::*;
 use katara_crowd::{Answer, Budget, Crowd, CrowdConfig, Oracle, Question};
-use katara_kb::{Kb, KbBuilder};
+use katara_datagen::KbFlavor;
+use katara_eval::corpus::{Corpus, CorpusConfig};
+use katara_eval::experiments::crowd_for;
+use katara_kb::{sim, Kb, KbBuilder};
 use katara_table::{Table, Value};
 
 /// The paper's Figure 1 setting in miniature: soccer players with one
@@ -230,6 +236,43 @@ fn discovery_probes_count_non_null_cells_and_cell_pairs() {
     assert!(pairs > 0, "the setting has no cell pairs");
     assert_eq!(m.counter("discovery.type_probes"), cells);
     assert_eq!(m.counter("discovery.rel_probes"), pairs);
+}
+
+#[test]
+fn label_search_counts_one_fuzzy_lookup_per_unlabelled_value() {
+    // With enrichment off the run resolves each distinct normalized
+    // value once, and only values without an exact label go fuzzy.
+    let corpus = Corpus::build(&CorpusConfig::small());
+    let g = &corpus.person;
+    let flavor = KbFlavor::YagoLike;
+    let mut kb = corpus.kb(flavor);
+    let rec = Arc::new(RunRecorder::new());
+    let config = KataraConfig {
+        recorder: rec.clone(),
+        annotation: AnnotationConfig {
+            enrich_kb: false,
+            ..AnnotationConfig::default()
+        },
+        ..KataraConfig::default()
+    };
+    let mut crowd = crowd_for(&corpus, g, flavor, 1.0, 0xC0FFEE);
+    Katara::new(config)
+        .clean(&g.table, &mut kb, &mut crowd)
+        .expect("corpus clean succeeds");
+    let m = rec.snapshot();
+
+    let values: HashSet<String> = (0..g.table.num_rows())
+        .flat_map(|r| (0..g.table.num_columns()).map(move |c| (r, c)))
+        .filter_map(|(r, c)| g.table.cell(r, c).as_str().map(sim::normalize))
+        .collect();
+    let unlabelled = values
+        .iter()
+        .filter(|v| kb.resources_by_label(v).is_empty())
+        .count() as u64;
+    assert!(unlabelled > 0, "the corpus table has no fuzzy values");
+    assert_eq!(m.counter("kb.label_fuzzy_lookups"), unlabelled);
+    assert!(m.counter("kb.label_postings_scanned") > 0);
+    assert!(m.counter("kb.label_candidates_scored") <= m.counter("kb.label_postings_scanned"));
 }
 
 #[test]

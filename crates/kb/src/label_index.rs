@@ -6,6 +6,22 @@
 //! query and scores them with the hybrid similarity of [`crate::sim`],
 //! returning those at or above the threshold (the paper uses 0.7).
 //!
+//! The fuzzy search returns exactly what scoring every prefiltered label
+//! with [`sim::similarity`] would, at a fraction of the work:
+//!
+//! * the normalized labels live in one packed arena, with per-slot end
+//!   offsets, char counts and distinct-trigram counts;
+//! * shared trigrams are counted in a dense per-lookup vector indexed by
+//!   slot. A slot sits once in the posting list of each of its distinct
+//!   grams, so its count *is* `|Q ∩ L|`, and the Jaccard arm follows from
+//!   the two set sizes without touching the label;
+//! * the count also bounds the OSA distance from below (one edit kills at
+//!   most four padded windows), which caps the Levenshtein arm. When that
+//!   cap cannot beat the Jaccard arm or reach the threshold, the label's
+//!   score is settled without computing a distance;
+//! * the remaining labels get an exact distance from the bit-vector
+//!   kernel ([`sim::OsaPattern`]), whose masks are built once per query.
+//!
 //! Like the parser modules, this module denies `clippy::unwrap_used`:
 //! lookups run on arbitrary user strings and must never panic — in
 //! particular, float sorts use `total_cmp` so a NaN similarity score can
@@ -14,6 +30,7 @@
 #![deny(clippy::unwrap_used)]
 
 use std::collections::HashMap;
+use std::ops::AddAssign;
 
 use crate::ids::ResourceId;
 use crate::sim;
@@ -27,18 +44,52 @@ pub struct LabelMatch {
     pub score: f64,
 }
 
+/// The work one or more fuzzy label searches did. Every count is a pure
+/// function of the index and the queries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LabelSearchStats {
+    /// Queries that missed the exact index and were searched fuzzily.
+    pub fuzzy_lookups: u64,
+    /// Posting-list entries read while counting shared trigrams.
+    pub postings_scanned: u64,
+    /// Labels whose OSA distance was computed: those the prefilter kept
+    /// and the score bound could not settle.
+    pub candidates_scored: u64,
+}
+
+impl AddAssign for LabelSearchStats {
+    fn add_assign(&mut self, other: Self) {
+        self.fuzzy_lookups += other.fuzzy_lookups;
+        self.postings_scanned += other.postings_scanned;
+        self.candidates_scored += other.candidates_scored;
+    }
+}
+
+/// Where one slot's normalized label sits in the arena, and its sizes.
+#[derive(Debug, Clone, Copy)]
+struct SlotLabel {
+    /// Byte offset one past the label's end; it starts where the previous
+    /// slot's label ends.
+    end: usize,
+    /// Length in chars.
+    chars: usize,
+    /// Number of distinct padded trigrams.
+    grams: usize,
+}
+
 /// An inverted index from labels to resources.
 #[derive(Debug, Default, Clone)]
 pub struct LabelIndex {
-    /// Distinct normalized labels; a slot holds every resource carrying
-    /// that label (homonyms: `Rossi` the player and `Rossi` the racer).
-    slots: Vec<(String, Vec<ResourceId>)>,
+    /// Per slot, every resource carrying that slot's label (homonyms:
+    /// `Rossi` the player and `Rossi` the racer).
+    slots: Vec<Vec<ResourceId>>,
+    /// The distinct normalized labels, concatenated in slot order.
+    arena: String,
+    /// Per slot, its label's place in `arena` and its sizes.
+    labels: Vec<SlotLabel>,
     slot_of: HashMap<String, u32>,
-    /// trigram -> slots containing it.
+    /// trigram -> slots containing it, ascending.
     grams: HashMap<[char; 3], Vec<u32>>,
-    /// Per-slot sorted distinct trigrams, computed once at insert so
-    /// approximate lookup never re-derives a label's gram set.
-    slot_grams: Vec<Vec<[char; 3]>>,
 }
 
 impl LabelIndex {
@@ -64,20 +115,31 @@ impl LabelIndex {
             Some(&s) => s,
             None => {
                 let s = u32::try_from(self.slots.len()).expect("label slots exhausted");
-                let grams = dedup_grams(&norm);
+                let grams = sim::sorted_trigrams(&norm);
                 for &g in &grams {
                     self.grams.entry(g).or_default().push(s);
                 }
-                self.slot_grams.push(grams);
-                self.slots.push((norm.clone(), Vec::new()));
+                self.arena.push_str(&norm);
+                self.labels.push(SlotLabel {
+                    end: self.arena.len(),
+                    chars: norm.chars().count(),
+                    grams: grams.len(),
+                });
+                self.slots.push(Vec::new());
                 self.slot_of.insert(norm, s);
                 s
             }
         };
-        let resources = &mut self.slots[slot as usize].1;
+        let resources = &mut self.slots[slot as usize];
         if !resources.contains(&resource) {
             resources.push(resource);
         }
+    }
+
+    /// The normalized label of `slot`.
+    fn label(&self, slot: usize) -> &str {
+        let start = slot.checked_sub(1).map_or(0, |prev| self.labels[prev].end);
+        &self.arena[start..self.labels[slot].end]
     }
 
     /// Resources whose normalized label equals `normalize(query)` exactly.
@@ -91,7 +153,7 @@ impl LabelIndex {
     /// value once and probes through this entry point.
     pub fn exact_normalized(&self, norm: &str) -> &[ResourceId] {
         match self.slot_of.get(norm) {
-            Some(&s) => &self.slots[s as usize].1,
+            Some(&s) => &self.slots[s as usize],
             None => &[],
         }
     }
@@ -110,56 +172,139 @@ impl LabelIndex {
     /// [`Self::lookup`] for an *already normalized* query. Scores are
     /// bit-identical to [`sim::similarity`] on the normalized strings: the
     /// equality short-circuit and the `max(levenshtein, jaccard)` hybrid
-    /// are reproduced here, with the Jaccard side computed from the
-    /// cached per-slot gram sets instead of re-deriving the label's grams.
+    /// are reproduced exactly (see the module docs for how).
     pub fn lookup_normalized(&self, norm: &str, threshold: f64) -> Vec<LabelMatch> {
-        let qgrams = dedup_grams(norm);
-        let min_shared = (qgrams.len() / 4).max(1);
-        let mut shared: HashMap<u32, usize> = HashMap::new();
-        for g in &qgrams {
-            if let Some(slots) = self.grams.get(g) {
-                for &s in slots {
-                    *shared.entry(s).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut hits: Vec<(u32, f64)> = Vec::new();
-        for (slot, count) in shared {
-            if count < min_shared {
-                continue;
-            }
-            let label = &self.slots[slot as usize].0;
-            let score = if norm == label {
-                1.0
-            } else {
-                sim::levenshtein_sim(norm, label).max(sim::jaccard_sorted(
-                    &qgrams,
-                    &self.slot_grams[slot as usize],
-                ))
-            };
-            if score >= threshold {
-                hits.push((slot, score));
-            }
-        }
+        self.search_normalized(norm, threshold).0
+    }
+
+    /// [`Self::lookup_normalized`] plus the work the search did.
+    pub fn search_normalized(
+        &self,
+        norm: &str,
+        threshold: f64,
+    ) -> (Vec<LabelMatch>, LabelSearchStats) {
+        let qgrams = sim::sorted_trigrams(norm);
+        // A slot's count never exceeds the query's distinct-gram count, so
+        // `u16` counters suffice for every query but a huge one.
+        let (mut hits, stats) = if qgrams.len() <= usize::from(u16::MAX) {
+            self.scan::<u16>(norm, &qgrams, threshold)
+        } else {
+            self.scan::<usize>(norm, &qgrams, threshold)
+        };
         // Best score first; ties broken by slot index for determinism.
         hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut out = Vec::new();
         for (slot, score) in hits {
-            for &r in &self.slots[slot as usize].1 {
+            for &r in &self.slots[slot as usize] {
                 out.push(LabelMatch { resource: r, score });
             }
         }
-        out
+        (out, stats)
     }
 
-    /// Iterate all `(normalized label, resources)` slots.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[ResourceId])> {
-        self.slots.iter().map(|(l, rs)| (l.as_str(), rs.as_slice()))
+    /// Count the query's shared trigrams per slot, then score every slot
+    /// sharing at least a quarter of them: `(slot, score)` for each one at
+    /// or above `threshold`, in no particular order.
+    fn scan<C: SharedCount>(
+        &self,
+        norm: &str,
+        qgrams: &[[char; 3]],
+        threshold: f64,
+    ) -> (Vec<(u32, f64)>, LabelSearchStats) {
+        let mut stats = LabelSearchStats {
+            fuzzy_lookups: 1,
+            ..LabelSearchStats::default()
+        };
+        let mut shared = vec![C::default(); self.slots.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        for g in qgrams {
+            let Some(posting) = self.grams.get(g) else {
+                continue;
+            };
+            stats.postings_scanned += posting.len() as u64;
+            for &s in posting {
+                let count = &mut shared[s as usize];
+                if count.get() == 0 {
+                    touched.push(s);
+                }
+                count.bump();
+            }
+        }
+
+        let q_grams = qgrams.len();
+        let min_shared = (q_grams / 4).max(1);
+        let q_chars = norm.chars().count();
+        // Repeated padded windows of the query: `q_chars + 2` windows, of
+        // which `q_grams` are distinct.
+        let q_repeats = q_chars + 2 - q_grams;
+        let pattern = sim::OsaPattern::new(norm);
+        let mut hits: Vec<(u32, f64)> = Vec::new();
+        for s in touched {
+            let inter = shared[s as usize].get();
+            if inter < min_shared {
+                continue;
+            }
+            let meta = self.labels[s as usize];
+            let jaccard = inter as f64 / (q_grams + meta.grams - inter) as f64;
+            let max_len = q_chars.max(meta.chars);
+            // Equal gram sets are necessary for equal strings, and cheap.
+            let equal = inter == q_grams && meta.grams == q_grams && self.label(s as usize) == norm;
+            let score = if equal {
+                1.0
+            } else {
+                // OSA distance lower bound: the longer string's
+                // `max_len + 2` padded windows keep at least
+                // `max_len + 2 − 4d` in the other string, and those are
+                // at most `inter + q_repeats` windows.
+                let d_low = q_chars
+                    .abs_diff(meta.chars)
+                    .max((max_len + 2).saturating_sub(inter + q_repeats).div_ceil(4));
+                let lev_up = 1.0 - d_low as f64 / max_len as f64;
+                if lev_up < threshold.max(jaccard) || lev_up <= jaccard {
+                    // The Levenshtein arm cannot win the max, or the
+                    // score misses the threshold either way.
+                    jaccard
+                } else {
+                    stats.candidates_scored += 1;
+                    let label = self.label(s as usize);
+                    let d = match &pattern {
+                        Some(p) => p.distance(label),
+                        None => sim::levenshtein(norm, label),
+                    };
+                    (1.0 - d as f64 / max_len as f64).max(jaccard)
+                }
+            };
+            if score >= threshold {
+                hits.push((s, score));
+            }
+        }
+        (hits, stats)
     }
 }
 
-fn dedup_grams(s: &str) -> Vec<[char; 3]> {
-    sim::sorted_trigrams(s)
+/// A per-slot shared-trigram counter: `u16` for every realistic query,
+/// `usize` for a query with more distinct trigrams than `u16` holds.
+trait SharedCount: Copy + Default {
+    fn get(self) -> usize;
+    fn bump(&mut self);
+}
+
+impl SharedCount for u16 {
+    fn get(self) -> usize {
+        usize::from(self)
+    }
+    fn bump(&mut self) {
+        *self += 1;
+    }
+}
+
+impl SharedCount for usize {
+    fn get(self) -> usize {
+        self
+    }
+    fn bump(&mut self) {
+        *self += 1;
+    }
 }
 
 #[cfg(test)]

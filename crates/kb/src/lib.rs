@@ -78,7 +78,7 @@ pub use journal::{
     DeltaOp, EnrichmentDelta, FaultCounters, FaultWriter, Journal, JournalConfig, JournalError,
     JournalFile, JournalStats, ReplayReport, WriteFaultPlan,
 };
-pub use label_index::{LabelIndex, LabelMatch};
+pub use label_index::{LabelIndex, LabelMatch, LabelSearchStats};
 pub use ontology::Hierarchy;
 pub use plan::ProbePlan;
 pub use query::Object;

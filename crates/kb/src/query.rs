@@ -5,6 +5,7 @@
 use crate::columnar::gallop_search;
 use crate::dedup::OrderedDedup;
 use crate::ids::{ClassId, LiteralId, PropertyId, ResourceId};
+use crate::label_index::LabelSearchStats;
 use crate::plan::{self, ProbePlan};
 use crate::sim;
 use crate::store::Kb;
@@ -33,15 +34,23 @@ impl Kb {
     /// returns exactly what the raw form would for every spelling that
     /// normalizes to `norm`.
     pub fn candidate_resources_normalized(&self, norm: &str) -> Vec<(ResourceId, f64)> {
+        self.candidate_resources_counted(norm).0
+    }
+
+    /// [`Kb::candidate_resources_normalized`] plus the label-search work
+    /// it did: nothing on an exact hit, one fuzzy lookup otherwise.
+    pub fn candidate_resources_counted(
+        &self,
+        norm: &str,
+    ) -> (Vec<(ResourceId, f64)>, LabelSearchStats) {
         let exact = self.label_index.exact_normalized(norm);
         if !exact.is_empty() {
-            return exact.iter().map(|&r| (r, 1.0)).collect();
+            let hits = exact.iter().map(|&r| (r, 1.0)).collect();
+            return (hits, LabelSearchStats::default());
         }
-        self.label_index
-            .lookup_normalized(norm, self.sim_threshold)
-            .into_iter()
-            .map(|m| (m.resource, m.score))
-            .collect()
+        let (hits, stats) = self.label_index.search_normalized(norm, self.sim_threshold);
+        let hits = hits.into_iter().map(|m| (m.resource, m.score)).collect();
+        (hits, stats)
     }
 
     /// `Q_types`: the types (and supertypes) of every resource whose label

@@ -7,6 +7,14 @@
 //! is a poor Lucene stand-in: Levenshtein under-scores token reordering,
 //! Jaccard under-scores very short strings. Taking the max of the two keeps
 //! both the "typo" and the "token soup" match families above the threshold.
+//!
+//! The edit distance is the optimal-string-alignment (OSA) variant of
+//! Damerau-Levenshtein. [`levenshtein`] runs the bit-vector kernel of Hyyrö
+//! ([`OsaPattern`]) whenever the shorter string has 1–64 chars: one pass
+//! over the longer string, 64 DP cells per machine word. Longer pairs go
+//! through the dynamic program [`levenshtein_dp`], which is also the
+//! reference the kernel is tested against. The fuzzy label search builds
+//! one [`OsaPattern`] per query and reuses it for every label it scores.
 
 /// Normalize a string for label comparison: trim, lowercase, collapse runs
 /// of whitespace into a single space.
@@ -35,7 +43,26 @@ pub fn normalize(s: &str) -> String {
 /// Damerau-Levenshtein (optimal string alignment) edit distance between two
 /// strings, over `char`s. Adjacent transpositions count as one edit, which
 /// matches Lucene's fuzzy matching behaviour.
+///
+/// The distance is symmetric, so the shorter string becomes the kernel's
+/// pattern when it has 1–64 chars; every other pair takes
+/// [`levenshtein_dp`]. Both paths return the same number.
 pub fn levenshtein(a: &str, b: &str) -> usize {
+    let (short, long) = if a.chars().count() <= b.chars().count() {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    match OsaPattern::new(short) {
+        Some(pattern) => pattern.distance(long),
+        None => levenshtein_dp(a, b),
+    }
+}
+
+/// The OSA distance of [`levenshtein`] by the three-row dynamic program:
+/// the path for pairs whose shorter string is empty or longer than
+/// [`OsaPattern::MAX_LEN`] chars, and the reference for the kernel.
+pub fn levenshtein_dp(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {
@@ -63,6 +90,102 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[b.len()]
+}
+
+/// The match masks of one pattern string of 1–64 chars for the bit-vector
+/// OSA kernel of Hyyrö, "A bit-vector algorithm for computing Levenshtein
+/// and Damerau edit distances" (2003). Bit `i` of a char's mask is set iff
+/// the pattern's `i`-th char is that char. Built once, the pattern is
+/// compared against any number of texts at one pass over each text.
+#[derive(Debug, Clone)]
+pub struct OsaPattern {
+    /// Masks of the ASCII chars, indexed by code point.
+    ascii: [u64; 128],
+    /// Masks of the pattern's other chars, one entry per distinct char.
+    other: Vec<(char, u64)>,
+    /// Bit of the pattern's last char: where the distance is read off.
+    last: u64,
+}
+
+impl OsaPattern {
+    /// The longest pattern the kernel takes: one bit per char of a `u64`.
+    pub const MAX_LEN: usize = 64;
+
+    /// The masks of `pattern`, or `None` when it is empty or longer than
+    /// [`Self::MAX_LEN`] chars.
+    pub fn new(pattern: &str) -> Option<Self> {
+        let mut ascii = [0u64; 128];
+        let mut other: Vec<(char, u64)> = Vec::new();
+        let mut bit = 0u64;
+        for (i, c) in pattern.chars().enumerate() {
+            if i == Self::MAX_LEN {
+                return None;
+            }
+            bit = 1u64 << i;
+            if c.is_ascii() {
+                ascii[c as usize] |= bit;
+            } else if let Some((_, mask)) = other.iter_mut().find(|(o, _)| *o == c) {
+                *mask |= bit;
+            } else {
+                other.push((c, bit));
+            }
+        }
+        (bit != 0).then_some(OsaPattern {
+            ascii,
+            other,
+            last: bit,
+        })
+    }
+
+    /// The pattern's length in chars.
+    fn len(&self) -> usize {
+        self.last.trailing_zeros() as usize + 1
+    }
+
+    fn mask(&self, c: char) -> u64 {
+        if c.is_ascii() {
+            self.ascii[c as usize]
+        } else {
+            self.other
+                .iter()
+                .find(|(o, _)| *o == c)
+                .map_or(0, |&(_, mask)| mask)
+        }
+    }
+
+    /// The OSA distance between the pattern and `text`, equal to
+    /// [`levenshtein_dp`] of the two.
+    ///
+    /// Column `j` of the DP over (pattern × text) is kept as vertical
+    /// delta vectors `vp`/`vn` (+1/−1 between rows); `d0` marks the rows
+    /// whose diagonal delta is 0. A transposition makes the diagonal delta
+    /// 0 at row `i` when the pattern's chars `i−1, i` are the text's chars
+    /// `j, j−1` and the diagonal delta at `(i−1, j−1)` was 1. The running
+    /// distance is the last row's value, moved by its horizontal delta.
+    pub fn distance(&self, text: &str) -> usize {
+        let (mut vp, mut vn) = (u64::MAX, 0u64);
+        let (mut d0, mut pm_prev) = (0u64, 0u64);
+        let mut dist = self.len();
+        for c in text.chars() {
+            let pm = self.mask(c);
+            let tr = ((!d0 & pm) << 1) & pm_prev;
+            d0 = ((pm & vp).wrapping_add(vp) ^ vp) | pm | vn | tr;
+            let hp = vn | !(d0 | vp);
+            let hn = vp & d0;
+            if hp & self.last != 0 {
+                dist += 1;
+            } else if hn & self.last != 0 {
+                dist -= 1;
+            }
+            // Row 0 is D[0][j] = j: its horizontal delta is always +1.
+            let hp = (hp << 1) | 1;
+            let hn = hn << 1;
+            vp = hn | !(d0 | hp);
+            vn = hp & d0;
+            pm_prev = pm;
+        }
+        dist
+    }
 }
 
 /// Normalized Levenshtein similarity in `[0, 1]`:
@@ -163,6 +286,40 @@ mod tests {
         // Adjacent transposition is one edit (Damerau/OSA).
         assert_eq!(levenshtein("madrid", "madird"), 1);
         assert_eq!(levenshtein("ab", "ba"), 1);
+    }
+
+    #[test]
+    fn kernel_matches_dp_on_edge_cases() {
+        let cases = [
+            ("a", ""),
+            ("a", "a"),
+            ("ab", "ba"),
+            ("abc", "ca"),
+            ("ca", "abc"),
+            ("madrid", "madird"),
+            ("kitten", "sitting"),
+            ("ñandú", "nandu"),
+            ("日本語", "本日語"),
+        ];
+        for (a, b) in cases {
+            assert_eq!(levenshtein(a, b), levenshtein_dp(a, b), "{a}/{b}");
+            assert_eq!(levenshtein(b, a), levenshtein_dp(a, b), "{b}/{a}");
+        }
+        // 64 chars is the widest kernel pattern; 65 takes the DP.
+        let long: String = "ab".repeat(32);
+        let longer = format!("{long}c");
+        assert!(OsaPattern::new(&long).is_some());
+        assert!(OsaPattern::new(&longer).is_none());
+        assert!(OsaPattern::new("").is_none());
+        let swapped: String = "ba".repeat(32);
+        assert_eq!(
+            OsaPattern::new(&long).map(|p| p.distance(&swapped)),
+            Some(levenshtein_dp(&long, &swapped))
+        );
+        assert_eq!(
+            levenshtein(&longer, &swapped),
+            levenshtein_dp(&longer, &swapped)
+        );
     }
 
     #[test]

@@ -103,6 +103,9 @@ metric_enum! {
         JournalFsyncs => "journal.fsyncs",
         JournalReplayedRecords => "journal.replayed_records",
         JournalRetries => "journal.retries",
+        KbLabelCandidatesScored => "kb.label_candidates_scored",
+        KbLabelFuzzyLookups => "kb.label_fuzzy_lookups",
+        KbLabelPostingsScanned => "kb.label_postings_scanned",
         KbPlanRelFirst => "kb.plan_rel_first",
         KbPlanTypeFirst => "kb.plan_type_first",
         RepairBudgetStopped => "repair.budget_stopped",
