@@ -4,8 +4,8 @@
 //! run with the resolution injected pre-built ("snapshot"). Emits
 //! `BENCH_resolve.json` at the workspace root with the wall times, the
 //! speedup, the fixture's distinct-value ratio, the KB triple count, and
-//! the probe-planner counters (`kb.plan_type_first` / `kb.plan_rel_first`)
-//! inside the embedded metrics (quick mode via `KATARA_BENCH_QUICK=1`).
+//! the embedded metrics of one instrumented run (quick mode via
+//! `KATARA_BENCH_QUICK=1`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

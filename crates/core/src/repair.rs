@@ -284,7 +284,7 @@ fn expand(
         Some((s, o, p, obj_literal, forward)) => {
             if forward {
                 let Some(NodeVal::Res(rs)) = values[s].clone() else {
-                    unreachable!("forward frontier has assigned subject")
+                    return; // a literal has no outgoing edges to follow
                 };
                 if obj_literal {
                     for l in kb.literals_linked(rs, p) {
@@ -986,6 +986,43 @@ mod tests {
         let all = topk_repairs_naive(&index, &kb, &pattern, &alien, 2, &RepairConfig::default());
         assert!(!all.is_empty());
         assert_eq!(all[0].changes.len(), 4, "full rewrite");
+    }
+
+    /// Annotation feedback can clear a node's class and keep its edges,
+    /// leaving an untyped node that is the object of one edge and the
+    /// subject of another. Untyped objects are filled with literals, and
+    /// a literal is the subject of no fact: the assignment is a dead end.
+    #[test]
+    fn literal_filled_subject_is_a_dead_end() {
+        let mut b = KbBuilder::new();
+        let person = b.class("person");
+        let country = b.class("country");
+        let capital = b.class("capital");
+        let nationality = b.property("nationality");
+        let has_capital = b.property("hasCapital");
+        let pirlo = b.entity("Pirlo", &[person]);
+        let italy = b.entity("Italy", &[country]);
+        let rome = b.entity("Rome", &[capital]);
+        b.entity("Madrid", &[capital]); // the larger class: person seeds
+        b.fact(pirlo, nationality, italy);
+        b.literal_fact(pirlo, nationality, "Italian");
+        b.fact(italy, has_capital, rome);
+        let kb = b.finalize();
+        let node = |column, class| PatternNode { column, class };
+        let edge = |subject, object, property| PatternEdge {
+            subject,
+            object,
+            property,
+        };
+        let pattern = TablePattern::new(
+            vec![node(0, Some(person)), node(1, None), node(2, Some(capital))],
+            vec![edge(0, 1, nationality), edge(1, 2, has_capital)],
+            1.0,
+        )
+        .unwrap();
+        let index = RepairIndex::build(&kb, &pattern, &RepairConfig::default());
+        assert_eq!(index.num_graphs(), 0);
+        assert!(!index.truncated());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use katara_kb::sim;
-use katara_kb::{ClassId, DeltaOp, Kb, LabelSearchStats, ProbePlan, PropertyId, ResourceId};
+use katara_kb::{ClassId, DeltaOp, Kb, LabelSearchStats, PropertyId, ResourceId};
 use katara_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use katara_table::Table;
 
@@ -98,10 +98,6 @@ pub struct TableResolution {
     /// How many leading rows the pair memo covers.
     pair_rows: usize,
     non_null_cells: usize,
-    /// Probe-plan tallies from the build-time pair memo, emitted as
-    /// `kb.plan_*` counters when a recorder is attached.
-    plan_type_first: u64,
-    plan_rel_first: u64,
     /// Label-search work of the build-time resolves, emitted as
     /// `kb.label_*` counters when a recorder is attached.
     label_search: LabelSearchStats,
@@ -160,7 +156,6 @@ impl TableResolution {
 
         let pair_rows = nrows.min(pair_rows);
         let mut pair_rels: HashMap<(u32, u32), PairRels> = HashMap::new();
-        let (mut plan_type_first, mut plan_rel_first) = (0u64, 0u64);
         for i in 0..ncols {
             for j in 0..ncols {
                 if i == j {
@@ -171,13 +166,7 @@ impl TableResolution {
                         continue;
                     };
                     pair_rels.entry((a, b)).or_insert_with(|| {
-                        let (rels, plan) =
-                            relations_between(kb, &values[a as usize], &values[b as usize]);
-                        match plan {
-                            ProbePlan::TypeFirst => plan_type_first += 1,
-                            ProbePlan::RelFirst => plan_rel_first += 1,
-                        }
-                        rels
+                        relations_between(kb, &values[a as usize], &values[b as usize])
                     });
                 }
             }
@@ -192,8 +181,6 @@ impl TableResolution {
             pair_rels,
             pair_rows,
             non_null_cells,
-            plan_type_first,
-            plan_rel_first,
             label_search,
             recorder: Arc::new(NoopRecorder),
         }
@@ -202,14 +189,12 @@ impl TableResolution {
     /// Attach a recorder: subsequent tier accesses emit
     /// `resolve.{candidates,types,pair}_{lookups,hit}` and
     /// `resolve.pair_miss` counters, patches emit
-    /// `resolve.values_repatched`, the build's probe plans and label
-    /// searches are emitted as `kb.plan_*` and `kb.label_*` counters, and
-    /// the snapshot's shape is published as gauges.
+    /// `resolve.values_repatched`, the build's label searches are emitted
+    /// as `kb.label_*` counters, and the snapshot's shape is published as
+    /// gauges.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         recorder.set_gauge(Gauge::ResolveDistinctValues, self.values.len() as u64);
         recorder.set_gauge(Gauge::ResolveNonNullCells, self.non_null_cells as u64);
-        recorder.incr_by(Counter::KbPlanTypeFirst, self.plan_type_first);
-        recorder.incr_by(Counter::KbPlanRelFirst, self.plan_rel_first);
         self.recorder = recorder;
         self.record_label_search(self.label_search);
         self
@@ -232,16 +217,9 @@ impl TableResolution {
         value
     }
 
-    /// `Q_rels` for `(a, b)` from the cached candidate lists, tallying
-    /// the live (non-memoized) probe-plan decision.
+    /// `Q_rels` for `(a, b)` from the cached candidate lists.
     fn compute_pair(&self, kb: &Kb, a: u32, b: u32) -> PairRels {
-        let (rels, plan) =
-            relations_between(kb, &self.values[a as usize], &self.values[b as usize]);
-        self.recorder.incr(match plan {
-            ProbePlan::TypeFirst => Counter::KbPlanTypeFirst,
-            ProbePlan::RelFirst => Counter::KbPlanRelFirst,
-        });
-        rels
+        relations_between(kb, &self.values[a as usize], &self.values[b as usize])
     }
 
     /// True while the KB tiers reflect `kb`: no enrichment write has
@@ -631,12 +609,12 @@ impl TableResolution {
     }
 }
 
-/// `Q_rels^1`/`Q_rels^2` between two resolved values, with the probe plan
-/// the KB chose for the resource side.
-fn relations_between(kb: &Kb, a: &ResolvedValue, b: &ResolvedValue) -> (PairRels, ProbePlan) {
-    let (res, plan) = kb.relations_for_candidates_planned(&a.candidates, &b.candidates);
-    let lit = kb.literal_relations_for_candidates(&a.candidates, &b.norm);
-    (PairRels { res, lit }, plan)
+/// `Q_rels^1`/`Q_rels^2` between two resolved values.
+fn relations_between(kb: &Kb, a: &ResolvedValue, b: &ResolvedValue) -> PairRels {
+    PairRels {
+        res: kb.relations_for_candidates(&a.candidates, &b.candidates),
+        lit: kb.literal_relations_for_candidates(&a.candidates, &b.norm),
+    }
 }
 
 /// What one cell overwrite changed in the resolution.

@@ -15,7 +15,6 @@ use crate::ingest::{BrokenEdge, KbAudit, LabelCollision};
 use crate::interner::Interner;
 use crate::label_index::LabelIndex;
 use crate::ontology::Hierarchy;
-use crate::plan::CardStats;
 use crate::query::Object;
 use crate::sim;
 use crate::store::Kb;
@@ -338,7 +337,6 @@ impl KbBuilder {
         let rl_pairs = sorted_by_key(rl_index);
         let rl = PairCsr::from_sorted_pairs(n, &rl_pairs);
         let norms = sorted_by_key(literal_norm);
-        let stats = CardStats::new(rr.num_pairs(), rr.num_subjects_with_pairs());
 
         Kb {
             name: self.name,
@@ -360,7 +358,6 @@ impl KbBuilder {
             prop_subjects: CsrRows::from_rows(&prop_subjects),
             prop_objects: CsrRows::from_rows(&prop_objects),
             literal_norm: NormIndex::from_sorted(norms),
-            stats,
             coherence,
             sim_threshold: self.sim_threshold,
             fact_count,

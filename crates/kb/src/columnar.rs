@@ -12,7 +12,7 @@
 //! * [`PairCsr`] — the SPO permutation of the fact triples: subject-major
 //!   offsets, per-subject object runs sorted by object id, and a flat
 //!   property arena sliced per `(subject, object)` key. A probe is two
-//!   array hops plus a binary/gallop search over the subject's (small)
+//!   array hops plus a binary search over the subject's (small)
 //!   adjacency run — no hashing, no per-key allocation.
 //! * [`NormIndex`] — the normalized-literal dictionary as a sorted key
 //!   arena with CSR payload.
@@ -25,46 +25,6 @@
 //! (re-asserting what it already holds) leaves it unshadowed.
 
 use crate::ids::{LiteralId, PropertyId, ResourceId};
-
-/// Gallop (exponential-then-binary) search for `target` in a sorted slice:
-/// `Ok(i)` at a matching index, `Err(i)` at the insertion point. Probes
-/// doubling strides from the front, then binary-searches the bracketed
-/// window — O(log d) where d is the match distance, which beats a plain
-/// binary search when the target sits near the cursor (the common case in
-/// merge joins over skewed adjacency runs).
-pub(crate) fn gallop_search<T: Ord>(slice: &[T], target: &T) -> Result<usize, usize> {
-    let mut hi = 1usize;
-    while hi < slice.len() && slice[hi - 1] < *target {
-        hi *= 2;
-    }
-    let lo = hi / 2;
-    let hi = hi.min(slice.len());
-    match slice[lo..hi].binary_search(target) {
-        Ok(i) => Ok(lo + i),
-        Err(i) => Err(lo + i),
-    }
-}
-
-/// [`gallop_search`] under a key projection: search a slice sorted by
-/// `key(elem)` for `target`. Lets the hierarchy closures (sorted
-/// `(ancestor, distance)` runs) share the probe primitive without
-/// materializing a key column.
-pub(crate) fn gallop_search_by_key<T, K: Ord>(
-    slice: &[T],
-    target: &K,
-    key: impl Fn(&T) -> K,
-) -> Result<usize, usize> {
-    let mut hi = 1usize;
-    while hi < slice.len() && key(&slice[hi - 1]) < *target {
-        hi *= 2;
-    }
-    let lo = hi / 2;
-    let hi = hi.min(slice.len());
-    match slice[lo..hi].binary_search_by(|e| key(e).cmp(target)) {
-        Ok(i) => Ok(lo + i),
-        Err(i) => Err(lo + i),
-    }
-}
 
 /// Dense rows in compressed-sparse-row form with a copy-on-write overlay.
 ///
@@ -142,7 +102,7 @@ impl<T: Copy> CsrRows<T> {
     {
         match self.overlay.binary_search_by_key(&(i as u32), |&(r, _)| r) {
             Ok(k) => self.overlay[k].1.contains(&x),
-            Err(_) => gallop_search(self.base_row(i), &x).is_ok(),
+            Err(_) => self.base_row(i).binary_search(&x).is_ok(),
         }
     }
 
@@ -206,23 +166,6 @@ impl<B: Copy + Ord> PairCsr<B> {
             props,
             overlay: Vec::new(),
         }
-    }
-
-    /// Number of distinct `(subject, object)` keys in the base arena.
-    pub(crate) fn num_pairs(&self) -> usize {
-        self.objs.len()
-    }
-
-    /// Number of subjects with at least one base key.
-    pub(crate) fn num_subjects_with_pairs(&self) -> usize {
-        self.off.windows(2).filter(|w| w[0] != w[1]).count()
-    }
-
-    /// Whether any enrichment write has shadowed a key. While true, merge
-    /// joins over base adjacency runs would miss overlay-only keys, so the
-    /// probe planner must fall back to per-key probes.
-    pub(crate) fn has_overlay(&self) -> bool {
-        !self.overlay.is_empty()
     }
 
     /// The properties asserted for `(s, b)` (empty when the key is absent).
@@ -355,37 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn gallop_matches_binary_search() {
-        let xs: Vec<u32> = vec![1, 3, 3, 7, 9, 20, 21, 22, 40];
-        for t in 0..45u32 {
-            let g = gallop_search(&xs, &t);
-            match (g, xs.binary_search(&t)) {
-                (Ok(i), Ok(_)) => assert_eq!(xs[i], t),
-                (Err(i), Err(j)) => assert_eq!(i, j, "insertion point for {t}"),
-                other => panic!("gallop/binary disagree for {t}: {other:?}"),
-            }
-        }
-        assert_eq!(gallop_search::<u32>(&[], &5), Err(0));
-    }
-
-    #[test]
-    fn gallop_by_key_matches_plain_gallop() {
-        let pairs: Vec<(u32, u32)> = vec![(2, 1), (5, 1), (9, 2), (12, 3), (30, 1)];
-        let keys: Vec<u32> = pairs.iter().map(|&(k, _)| k).collect();
-        for t in 0..35u32 {
-            assert_eq!(
-                gallop_search_by_key(&pairs, &t, |&(k, _)| k),
-                gallop_search(&keys, &t),
-                "projected search for {t}"
-            );
-        }
-        assert_eq!(
-            gallop_search_by_key::<(u32, u32), u32>(&[], &5, |&(k, _)| k),
-            Err(0)
-        );
-    }
-
-    #[test]
     fn csr_rows_round_trip_and_overlay() {
         let rows = vec![vec![1u32, 2, 3], vec![], vec![9]];
         let mut csr = CsrRows::from_rows(&rows);
@@ -429,8 +341,6 @@ mod tests {
             ((rid(2), rid(1)), vec![pid(0)]),
         ];
         let mut idx = PairCsr::from_sorted_pairs(3, &pairs);
-        assert_eq!(idx.num_pairs(), 3);
-        assert_eq!(idx.num_subjects_with_pairs(), 2);
         assert_eq!(idx.get(rid(0), rid(2)), &[pid(7), pid(3)]);
         assert_eq!(idx.get(rid(0), rid(5)), &[pid(1)]);
         assert_eq!(idx.get(rid(1), rid(2)), &[] as &[PropertyId]);
@@ -441,12 +351,11 @@ mod tests {
 
         // Re-asserting a base entry is a no-op that shadows nothing.
         assert!(!idx.insert(rid(0), rid(5), pid(1)));
-        assert!(!idx.has_overlay());
+        assert!(idx.overlay.is_empty());
         // Enrichment: extend an existing key, then create a new one.
         assert!(idx.insert(rid(0), rid(2), pid(9)));
         assert!(!idx.insert(rid(0), rid(2), pid(3))); // dup
         assert!(idx.insert(rid(7), rid(7), pid(2))); // past base subjects
-        assert!(idx.has_overlay());
         assert_eq!(idx.get(rid(0), rid(2)), &[pid(7), pid(3), pid(9)]);
         assert_eq!(idx.get(rid(7), rid(7)), &[pid(2)]);
         // Untouched keys still resolve from the base.

@@ -24,9 +24,8 @@
 //!   immediately visible to subsequent queries.
 //!
 //! The fact indexes live in a **dictionary-encoded columnar triple
-//! store** (sorted CSR arenas over interned `u32` ids, gallop-searched;
-//! copy-on-write overlays absorb enrichment) with a cost-based
-//! type-first/rel-first probe planner. See DESIGN.md §5i.
+//! store** (sorted CSR arenas over interned `u32` ids, binary-searched;
+//! copy-on-write overlays absorb enrichment). See DESIGN.md §5i.
 //!
 //! # Quick example
 //!
@@ -60,7 +59,6 @@ pub mod journal;
 pub mod label_index;
 pub mod ntriples;
 pub mod ontology;
-mod plan;
 pub mod query;
 pub mod sim;
 pub mod store;
@@ -80,7 +78,6 @@ pub use journal::{
 };
 pub use label_index::{LabelIndex, LabelMatch, LabelSearchStats};
 pub use ontology::Hierarchy;
-pub use plan::ProbePlan;
 pub use query::Object;
 pub use store::Kb;
 

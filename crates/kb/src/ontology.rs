@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 
-use crate::columnar::gallop_search_by_key;
 use crate::error::KbError;
 
 /// A DAG of `subClassOf`-style edges over dense node indexes, with a
@@ -171,7 +170,11 @@ impl Hierarchy {
     /// True iff `a == b` or `b` is a transitive ancestor of `a`.
     pub fn is_a(&self, a: u32, b: u32) -> bool {
         self.assert_closed();
-        a == b || gallop_search_by_key(self.closure_slice(a), &b, |&(p, _)| p).is_ok()
+        a == b
+            || self
+                .closure_slice(a)
+                .binary_search_by_key(&b, |&(p, _)| p)
+                .is_ok()
     }
 
     /// Minimal number of edges from `a` up to `b`; `Some(0)` if equal,
@@ -182,7 +185,8 @@ impl Hierarchy {
             return Some(0);
         }
         let slice = self.closure_slice(a);
-        gallop_search_by_key(slice, &b, |&(p, _)| p)
+        slice
+            .binary_search_by_key(&b, |&(p, _)| p)
             .ok()
             .map(|i| slice[i].1)
     }

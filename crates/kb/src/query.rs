@@ -2,11 +2,9 @@
 //! primitives used by pattern matching (§3.2), annotation (§6.1) and
 //! repair (§6.2).
 
-use crate::columnar::gallop_search;
 use crate::dedup::OrderedDedup;
 use crate::ids::{ClassId, LiteralId, PropertyId, ResourceId};
 use crate::label_index::LabelSearchStats;
-use crate::plan::{self, ProbePlan};
 use crate::sim;
 use crate::store::Kb;
 
@@ -114,103 +112,34 @@ impl Kb {
         self.relations_for_candidates(&self.candidate_resources(a), &self.candidate_resources(b))
     }
 
-    /// `Q_rels^1` from pre-resolved candidate lists for both values.
+    /// `Q_rels^1` from pre-resolved candidate lists for both values: the
+    /// per-pair [`Kb::relations_between`] closures over `ca × cb` in
+    /// candidate order, first occurrence wins.
     pub fn relations_for_candidates(
         &self,
         ca: &[(ResourceId, f64)],
         cb: &[(ResourceId, f64)],
     ) -> Vec<PropertyId> {
-        self.relations_for_candidates_planned(ca, cb).0
+        let mut out = Vec::new();
+        let mut seen = OrderedDedup::new();
+        for &(ra, _) in ca {
+            for &(rb, _) in cb {
+                self.relations_between_into(ra, rb, &mut seen, &mut out);
+            }
+        }
+        out
     }
 
-    /// [`Kb::relations_for_candidates`] plus the [`ProbePlan`] the
-    /// cost-based planner picked for this pattern. Both plans emit
-    /// byte-identical output; the plan is returned so callers can tally
-    /// planner decisions into observability counters.
+    /// [`Kb::relations_for_candidates`] under its former name. It exists
+    /// only for `perfbench`'s traced decomposition, which calls this name
+    /// and changes only together with the benchmark.
+    #[doc(hidden)]
     pub fn relations_for_candidates_planned(
         &self,
         ca: &[(ResourceId, f64)],
         cb: &[(ResourceId, f64)],
-    ) -> (Vec<PropertyId>, ProbePlan) {
-        // Enrichment overlay entries pin per-pair probes: merge joins over
-        // the base adjacency runs would miss overlay-only keys.
-        let plan = if self.rr.has_overlay() {
-            ProbePlan::TypeFirst
-        } else {
-            plan::choose(ca.len(), cb.len(), &self.stats)
-        };
-        let mut out = Vec::new();
-        let mut seen = OrderedDedup::new();
-        match plan {
-            ProbePlan::TypeFirst => {
-                for &(ra, _) in ca {
-                    for &(rb, _) in cb {
-                        self.relations_between_into(ra, rb, &mut seen, &mut out);
-                    }
-                }
-            }
-            ProbePlan::RelFirst => self.relations_rel_first(ca, cb, &mut seen, &mut out),
-        }
-        (out, plan)
-    }
-
-    /// Relation-first executor: per subject candidate, gallop-merge the
-    /// (sorted, overlay-free) base adjacency run against the object
-    /// candidates sorted by id, then emit matches in `cb` position order
-    /// so the output is byte-identical to the per-pair nested loop.
-    /// Only reachable with an empty overlay — the planner guarantees it.
-    fn relations_rel_first(
-        &self,
-        ca: &[(ResourceId, f64)],
-        cb: &[(ResourceId, f64)],
-        seen: &mut OrderedDedup<PropertyId>,
-        out: &mut Vec<PropertyId>,
-    ) {
-        let mut sorted_cb: Vec<(ResourceId, u32)> = cb
-            .iter()
-            .enumerate()
-            .map(|(pos, &(rb, _))| (rb, pos as u32))
-            .collect();
-        sorted_cb.sort_unstable();
-        // (cb position, arena key) matches for one subject.
-        let mut matches: Vec<(u32, usize)> = Vec::new();
-        for &(ra, _) in ca {
-            matches.clear();
-            let (adj, base) = self.rr.adjacency(ra);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < adj.len() && j < sorted_cb.len() {
-                let a = adj[i];
-                let b = sorted_cb[j].0;
-                if a < b {
-                    // Gallop the adjacency run forward to the candidate.
-                    i += match gallop_search(&adj[i..], &b) {
-                        Ok(d) | Err(d) => d,
-                    };
-                } else if b < a {
-                    j += sorted_cb[j..].partition_point(|&(rb, _)| rb < a);
-                } else {
-                    // Duplicate candidate entries all match this run slot.
-                    while j < sorted_cb.len() && sorted_cb[j].0 == a {
-                        matches.push((sorted_cb[j].1, base + i));
-                        j += 1;
-                    }
-                    i += 1;
-                }
-            }
-            matches.sort_unstable();
-            for &(_, key) in &matches {
-                for &p in self.rr.props_at(key) {
-                    seen.push(p, out);
-                    seen.extend(
-                        self.prop_hier
-                            .ancestors_slice(p.0)
-                            .iter()
-                            .map(|&(anc, _)| PropertyId(anc)),
-                        out,
-                    );
-                }
-            }
-        }
+    ) -> Vec<PropertyId> {
+        self.relations_for_candidates(ca, cb)
     }
 
     /// `Q_rels^2`: relationships from resources matching `a` to a *literal*
@@ -542,75 +471,6 @@ mod tests {
                 "lit rels {a}/{b}"
             );
         }
-    }
-
-    /// The type-first reference: a per-pair [`Kb::relations_between`]
-    /// nested loop with first-occurrence dedup.
-    fn per_pair_relations(
-        kb: &Kb,
-        ca: &[(ResourceId, f64)],
-        cb: &[(ResourceId, f64)],
-    ) -> Vec<PropertyId> {
-        let mut out = Vec::new();
-        let mut seen = OrderedDedup::new();
-        for &(ra, _) in ca {
-            for &(rb, _) in cb {
-                seen.extend(kb.relations_between(ra, rb), &mut out);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn both_probe_plans_emit_identical_relations() {
-        // Dense KB: one hub subject with many facts, candidate lists wide
-        // enough to push the planner to rel-first.
-        let mut b = KbBuilder::new();
-        let c = b.class("thing");
-        let rel = b.property("rel");
-        let sup = b.property("linked");
-        b.subproperty(rel, sup).unwrap();
-        let subjects: Vec<_> = (0..6).map(|i| b.entity(&format!("S{i}"), &[c])).collect();
-        let objects: Vec<_> = (0..40).map(|i| b.entity(&format!("O{i}"), &[c])).collect();
-        for &s in &subjects {
-            for (i, &o) in objects.iter().enumerate() {
-                if i % 3 == 0 {
-                    b.fact(s, rel, o);
-                }
-            }
-        }
-        let kb = b.finalize();
-
-        let ca: Vec<_> = subjects.iter().map(|&s| (s, 1.0)).collect();
-        // Reversed + duplicated object candidates: order and dedup of the
-        // output must still match the per-pair nested loop exactly.
-        let mut cb: Vec<_> = objects.iter().rev().map(|&o| (o, 0.9)).collect();
-        cb.push(cb[0]);
-        let (fast, plan) = kb.relations_for_candidates_planned(&ca, &cb);
-        assert_eq!(plan, ProbePlan::RelFirst, "pattern should pick rel-first");
-        assert_eq!(fast, per_pair_relations(&kb, &ca, &cb));
-        assert_eq!(fast, vec![rel, sup]);
-
-        // Re-asserting a base fact is a no-op: it leaves the version
-        // alone and must not shadow the base key, so rel-first stays.
-        let mut enriched = kb.clone();
-        assert!(!enriched.add_fact(subjects[0], rel, objects[0]));
-        assert_eq!(enriched.version(), kb.version());
-        let (noop, plan_noop) = enriched.relations_for_candidates_planned(&ca, &cb);
-        assert_eq!(
-            plan_noop,
-            ProbePlan::RelFirst,
-            "no-op write pinned type-first"
-        );
-        assert_eq!(noop, fast);
-
-        // A real enrichment write puts the store into overlay mode: the
-        // planner must fall back to per-pair probes.
-        assert!(enriched.add_fact(subjects[0], rel, objects[1]));
-        let (after, plan_after) = enriched.relations_for_candidates_planned(&ca, &cb);
-        assert_eq!(plan_after, ProbePlan::TypeFirst);
-        assert_eq!(after, per_pair_relations(&enriched, &ca, &cb));
-        assert_eq!(after, vec![rel, sup]);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::interner::Interner;
 use crate::journal::{DeltaOp, EnrichmentDelta};
 use crate::label_index::LabelIndex;
 use crate::ontology::Hierarchy;
-use crate::plan::CardStats;
 use crate::query::Object;
 use crate::sim;
 
@@ -62,8 +61,6 @@ pub struct Kb {
     pub(crate) prop_objects: CsrRows<ResourceId>,
     /// normalize(lit) -> LiteralIds of the spellings, for Q_rels^2.
     pub(crate) literal_norm: NormIndex,
-    /// Frozen cardinality stats feeding the probe planner.
-    pub(crate) stats: CardStats,
     pub(crate) coherence: CoherenceTable,
     pub(crate) sim_threshold: f64,
     /// Count of facts (triples with a property), for reporting.

@@ -106,8 +106,6 @@ metric_enum! {
         KbLabelCandidatesScored => "kb.label_candidates_scored",
         KbLabelFuzzyLookups => "kb.label_fuzzy_lookups",
         KbLabelPostingsScanned => "kb.label_postings_scanned",
-        KbPlanRelFirst => "kb.plan_rel_first",
-        KbPlanTypeFirst => "kb.plan_type_first",
         RepairBudgetStopped => "repair.budget_stopped",
         RepairGraphsBuilt => "repair.graphs_built",
         RepairIndexTruncated => "repair.index_truncated",

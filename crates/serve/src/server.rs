@@ -27,10 +27,11 @@
 //! cover the table, `503` draining after shutdown.
 //!
 //! The pipeline's `TableResolution` snapshots are kept warm across
-//! requests, keyed by `(body hash, KB version)`; the base KB is cloned
-//! per request so enrichment never leaks between tenants. Admission is a
-//! bounded in-flight counter — excess requests shed immediately instead
-//! of queueing behind a dying pipeline. Shutdown (via
+//! requests, keyed by `(body hash, KB version)` and checked against the
+//! body they were built from; the base KB is cloned per request so
+//! enrichment never leaks between tenants. Admission is a bounded
+//! in-flight counter — excess requests shed immediately instead of
+//! queueing behind a dying pipeline. Shutdown (via
 //! [`ServerHandle::shutdown`] or SIGTERM after
 //! [`trap_termination_signals`]) stops admitting, answers `503` while
 //! draining, and returns from [`Server::run`] once the last in-flight
@@ -141,7 +142,9 @@ impl Default for ServerConfig {
 }
 
 /// Cap on warm `TableResolution` snapshots kept alive; the least recently
-/// used one is dropped when full (the next request for it rebuilds).
+/// used one is dropped when full (the next request for it rebuilds). Each
+/// entry also keeps its request body, at most `max_body_bytes` (4 MiB by
+/// default).
 const SNAPSHOT_CACHE_CAP: usize = 64;
 
 /// Cap on warm [`DeltaSession`]s, LRU-evicted like the snapshots. The
@@ -230,6 +233,9 @@ impl<V: Clone> LruCache<V> {
     }
 }
 
+/// A warm snapshot and the request body it was built from.
+type WarmSnapshot = (Arc<[u8]>, Arc<TableResolution>);
+
 /// Durable-mode state: the journal plus the cumulative [`JournalStats`]
 /// already published to the recorder (the journal reports running
 /// totals; the daemon publishes the diffs).
@@ -252,9 +258,9 @@ struct ServerState {
     /// Live connection-handler threads (drain barrier).
     conns: AtomicUsize,
     shutdown: AtomicBool,
-    /// Warm snapshots, keyed by `(body hash, KB version)`; LRU-evicted
-    /// at capacity.
-    snapshots: Mutex<LruCache<Arc<TableResolution>>>,
+    /// Warm snapshots with the body each was built from, keyed by
+    /// `(body hash, KB version)`; LRU-evicted at capacity.
+    snapshots: Mutex<LruCache<WarmSnapshot>>,
     /// Warm incremental sessions (`POST /delta`), keyed by the
     /// bootstrap's snapshot key; LRU-evicted at capacity.
     sessions: Mutex<LruCache<Arc<Mutex<DeltaEntry>>>>,
@@ -722,10 +728,12 @@ fn handle_clean(state: &ServerState, req: &Request, text: &str) -> (u16, String)
     // what keeps snapshots honest across that.
     let (mut kb, base_version) = clone_base_kb(state);
 
-    // Warm snapshot cache, keyed by (body hash, KB version). `cold`
-    // bypasses it (the bench measures exactly this difference). Every
-    // snapshot records into the server recorder, so `GET /metrics`
-    // reports the `resolve.*` tiers of cached and cold runs alike.
+    // Warm snapshot cache, keyed by (body hash, KB version). The hash
+    // can collide, so a hit also compares the body, and a different body
+    // is a miss whose snapshot replaces the entry. `cold` bypasses the
+    // cache (the bench measures exactly this difference). Every snapshot
+    // records into the server recorder, so `GET /metrics` reports the
+    // `resolve.*` tiers of cached and cold runs alike.
     let rec = state.recorder.as_ref();
     let build = || {
         Arc::new(
@@ -743,15 +751,16 @@ fn handle_clean(state: &ServerState, req: &Request, text: &str) -> (u16, String)
             cache.get(key)
         };
         match cached {
-            Some(res) => {
+            Some((body, res)) if body[..] == req.body[..] => {
                 rec.incr(Counter::ServeSnapshotHit);
                 res
             }
-            None => {
+            _ => {
                 rec.incr(Counter::ServeSnapshotMiss);
                 let res = build();
+                let entry = (Arc::from(req.body.as_slice()), Arc::clone(&res));
                 let mut cache = state.snapshots.lock().unwrap_or_else(|e| e.into_inner());
-                cache.insert(key, Arc::clone(&res));
+                cache.insert(key, entry);
                 res
             }
         }
@@ -1348,6 +1357,40 @@ mod tests {
         // `snapshot=cold` bypasses the cache.
         route(&st, &post_clean(SOCCER_CSV, &[("snapshot", "cold")]));
         assert_eq!(st.recorder.counter_total(Counter::ServeSnapshotMiss), 2);
+    }
+
+    /// The key is a 64-bit hash: a body whose key holds another body's
+    /// snapshot gets its own, counted as a miss.
+    #[test]
+    fn snapshot_hit_requires_the_same_body() {
+        let st = state();
+        let other = format!("{SOCCER_CSV}Benzema,France,Paris\n");
+        route(&st, &post_clean(&other, &[]));
+        let version = st.kb.read().unwrap().version();
+        let key = |body: &str| snapshot_key(body.as_bytes(), version);
+        {
+            // What a hash collision would leave behind.
+            let mut cache = st.snapshots.lock().unwrap();
+            let entry = cache.get(key(&other)).unwrap();
+            cache.insert(key(SOCCER_CSV), entry);
+        }
+        let (hits, misses) = (
+            st.recorder.counter_total(Counter::ServeSnapshotHit),
+            st.recorder.counter_total(Counter::ServeSnapshotMiss),
+        );
+        let warm = route(&st, &post_clean(SOCCER_CSV, &[]));
+        assert_eq!(
+            st.recorder.counter_total(Counter::ServeSnapshotMiss),
+            misses + 1
+        );
+        let cold = route(&st, &post_clean(SOCCER_CSV, &[("snapshot", "cold")]));
+        assert_eq!(warm, cold);
+        // The rebuilt snapshot replaced the entry.
+        route(&st, &post_clean(SOCCER_CSV, &[]));
+        assert_eq!(
+            st.recorder.counter_total(Counter::ServeSnapshotHit),
+            hits + 1
+        );
     }
 
     #[test]

@@ -2,11 +2,10 @@
 # Validate the schema of a BENCH_*.json report (crates/bench/src/perf.rs).
 # Five shapes exist: thread-scaling reports (samples keyed by
 # "threads"), the resolve report (samples keyed by "config": cold vs
-# snapshot, plus "distinct_ratio", "triples", and the kb.plan_*
-# probe-planner counters), the serve report (samples keyed by "config"
-# and "concurrency", with req/s and latency percentiles), the
-# incremental report (samples keyed by "config": full vs delta, at
-# several "edit_rate"s, each carrying its discovery+repair
+# snapshot, plus "distinct_ratio" and "triples"), the serve report
+# (samples keyed by "config" and "concurrency", with req/s and latency
+# percentiles), the incremental report (samples keyed by "config": full
+# vs delta, at several "edit_rate"s, each carrying its discovery+repair
 # "work_counters" sum), and the crowd report (samples keyed by fault
 # "plan" and aggregation mode "agg", with accuracy-at-budget figures and
 # the crowd.* quality counters). The file's "bench" field picks the
@@ -55,8 +54,7 @@ for file in "$@"; do
   fi
   if grep -Eq '"bench": "resolve"' "$file"; then
     # Resolve report: cold-vs-snapshot end-to-end clean, plus the
-    # columnar-store fields (fixture scale and the probe-planner
-    # counters).
+    # fixture's scale.
     if ! grep -Eq '"distinct_ratio": [0-9]+\.[0-9]+,' "$file"; then
       echo "$file: missing numeric \"distinct_ratio\"" >&2
       ok=0
@@ -65,12 +63,6 @@ for file in "$@"; do
       echo "$file: missing integer \"triples\" (KB size the probes ran at)" >&2
       ok=0
     fi
-    for counter in kb.plan_type_first kb.plan_rel_first; do
-      if ! grep -Eq '"'"$counter"'": [0-9]+' "$file"; then
-        echo "$file: embedded metrics missing the \"$counter\" probe-plan counter" >&2
-        ok=0
-      fi
-    done
     for config in cold snapshot; do
       if ! grep -Eq '\{ "config": "'"$config"'", "iters": [0-9]+, "wall_ms": [0-9]+\.[0-9]+, "speedup": [0-9]+\.[0-9]+ \}' "$file"; then
         echo "$file: no well-formed \"$config\" sample (config/iters/wall_ms/speedup)" >&2

@@ -35,13 +35,12 @@ check_id_only() {
 QUERY=crates/kb/src/query.rs
 for fn in types_for_candidates asserted_relations relations_between \
   relations_between_into relations_for_candidates \
-  relations_for_candidates_planned relations_rel_first holds \
+  relations_for_candidates_planned holds \
   objects_linked literals_linked two_hop_relations holds_two_hop; do
   check_id_only "$QUERY" "$fn"
 done
 check_id_only crates/kb/src/store.rs subjects_linking
-check_id_only crates/kb/src/plan.rs choose
-for fn in gallop_search adjacency props_at; do
+for fn in adjacency props_at; do
   check_id_only crates/kb/src/columnar.rs "$fn"
 done
 

@@ -11,11 +11,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Files the lint covers (the historical offenders, plus the new
-# columnar engine and probe planner, which must stay contains()-free
-# from day one). dedup.rs is deliberately not scanned: its tests keep
-# the naive contains() scan as the reference implementation.
-FILES="crates/kb/src/query.rs crates/kb/src/columnar.rs crates/kb/src/plan.rs crates/core/src/candidates.rs"
+# Files the lint covers (the historical offenders, plus the columnar
+# engine, which must stay contains()-free from day one). dedup.rs is
+# deliberately not scanned: its tests keep the naive contains() scan as
+# the reference implementation.
+FILES="crates/kb/src/query.rs crates/kb/src/columnar.rs crates/core/src/candidates.rs"
 
 # Allowlisted files (exact repo-relative paths), one per line, with a
 # justification. Currently empty: the dedup module is hashed now and no
