@@ -206,13 +206,9 @@ impl From<katara_kb::JournalError> for CliError {
 pub enum CrowdMode {
     /// Ask on stdin.
     Interactive,
-    /// Missing facts presumed true.
-    Trust,
-    /// Missing facts presumed false.
-    Skeptic,
-    /// Answer from a set of known-true `(subject, property, object)`
-    /// statements (normalized).
-    Facts(HashSet<(String, String, String)>),
+    /// Answer without asking, as `katara serve` does: `trust`, `skeptic`
+    /// or `facts:FILE`.
+    Policy(ServePolicy),
 }
 
 impl CrowdMode {
@@ -220,12 +216,12 @@ impl CrowdMode {
     pub fn parse(arg: &str) -> Result<Self, CliError> {
         match arg {
             "interactive" => Ok(CrowdMode::Interactive),
-            "trust" => Ok(CrowdMode::Trust),
-            "skeptic" => Ok(CrowdMode::Skeptic),
+            "trust" => Ok(CrowdMode::Policy(ServePolicy::Trust)),
+            "skeptic" => Ok(CrowdMode::Policy(ServePolicy::Skeptic)),
             other => match other.strip_prefix("facts:") {
                 Some(path) => {
                     let text = std::fs::read_to_string(path)?;
-                    Ok(CrowdMode::Facts(parse_facts(&text)))
+                    Ok(CrowdMode::Policy(ServePolicy::Facts(parse_facts(&text))))
                 }
                 None => Err(CliError::Usage(format!(
                     "unknown crowd mode {other:?} (interactive|trust|skeptic|facts:FILE)"
@@ -255,9 +251,8 @@ pub fn parse_facts(text: &str) -> HashSet<(String, String, String)> {
         .collect()
 }
 
-/// The CLI oracle implementing the four modes. Choice questions (pattern
-/// validation) default to the top-ranked candidate outside interactive
-/// mode — i.e. discovery's ranking is accepted as-is.
+/// The CLI oracle: stdin in interactive mode, otherwise the policy, which
+/// accepts discovery's top-ranked candidate for every choice question.
 pub struct CliOracle {
     mode: CrowdMode,
 }
@@ -303,29 +298,9 @@ impl CliOracle {
 
 impl Oracle for CliOracle {
     fn answer(&self, q: &Question) -> Answer {
-        match (&self.mode, q) {
-            (CrowdMode::Interactive, q) => self.ask_stdin(q),
-            (_, Question::ColumnType { .. } | Question::Relationship { .. }) => Answer::Choice(0),
-            (CrowdMode::Trust, Question::Fact { .. }) => Answer::Bool(true),
-            (CrowdMode::Skeptic, Question::Fact { .. }) => Answer::Bool(false),
-            (
-                CrowdMode::Facts(facts),
-                Question::Fact {
-                    subject,
-                    property,
-                    object,
-                },
-            ) => {
-                // Properties in questions may carry IRI/CURIE prefixes
-                // (`y:hasCapital`); the facts file uses bare names.
-                let prop = ntriples::local_name(property).to_string();
-                let key = (
-                    sim::normalize(subject),
-                    prop,
-                    sim::normalize(ntriples::local_name(object)),
-                );
-                Answer::Bool(facts.contains(&key))
-            }
+        match &self.mode {
+            CrowdMode::Interactive => self.ask_stdin(q),
+            CrowdMode::Policy(policy) => policy.answer(q),
         }
     }
 }
@@ -446,7 +421,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let cmd = it.next().ok_or_else(usage)?.clone();
     let mut table = None;
     let mut kb = None;
-    let mut crowd = CrowdMode::Skeptic;
+    let mut crowd = CrowdMode::Policy(ServePolicy::Skeptic);
     let mut k = 3usize;
     let mut out = None;
     let mut enriched_kb = None;
@@ -984,9 +959,7 @@ pub fn run(cmd: Command) -> Result<RunStatus, CliError> {
             let (kb, kb_report) = load_kb(&kb, ingest)?;
             print_kb_ingest(&kb_report);
             let policy = match crowd {
-                CrowdMode::Trust => ServePolicy::Trust,
-                CrowdMode::Skeptic => ServePolicy::Skeptic,
-                CrowdMode::Facts(facts) => ServePolicy::Facts(facts),
+                CrowdMode::Policy(policy) => policy,
                 // parse_args rejects this; belt and braces for library
                 // callers constructing a Command by hand.
                 CrowdMode::Interactive => {
@@ -1061,7 +1034,7 @@ mod tests {
             } => {
                 assert_eq!(table, "t.csv");
                 assert_eq!(kb, "k.nt");
-                assert_eq!(crowd, CrowdMode::Trust);
+                assert_eq!(crowd, CrowdMode::Policy(ServePolicy::Trust));
                 assert_eq!(k, 5);
                 assert_eq!(max_questions, Some(40));
             }
@@ -1290,7 +1263,7 @@ mod tests {
             } => {
                 assert_eq!(kb, "k.nt");
                 assert_eq!(addr, "127.0.0.1:9000");
-                assert_eq!(crowd, CrowdMode::Trust);
+                assert_eq!(crowd, CrowdMode::Policy(ServePolicy::Trust));
                 assert_eq!(max_in_flight, 2);
                 assert_eq!(default_deadline_ms, Some(750));
             }
@@ -1377,7 +1350,7 @@ mod tests {
     #[test]
     fn facts_file_oracle() {
         let facts = parse_facts("S. Africa\thasCapital\tPretoria\n# junk\nshort\tline\n");
-        let oracle = CliOracle::new(CrowdMode::Facts(facts));
+        let oracle = CliOracle::new(CrowdMode::Policy(ServePolicy::Facts(facts)));
         let yes = Question::Fact {
             subject: "s. africa".into(),
             property: "hasCapital".into(),
@@ -1400,11 +1373,11 @@ mod tests {
             object: "b".into(),
         };
         assert_eq!(
-            CliOracle::new(CrowdMode::Trust).answer(&q),
+            CliOracle::new(CrowdMode::Policy(ServePolicy::Trust)).answer(&q),
             Answer::Bool(true)
         );
         assert_eq!(
-            CliOracle::new(CrowdMode::Skeptic).answer(&q),
+            CliOracle::new(CrowdMode::Policy(ServePolicy::Skeptic)).answer(&q),
             Answer::Bool(false)
         );
         // Choice questions accept discovery's ranking.
@@ -1416,7 +1389,7 @@ mod tests {
             candidates: vec!["a".into(), "b".into()],
         };
         assert_eq!(
-            CliOracle::new(CrowdMode::Skeptic).answer(&cq),
+            CliOracle::new(CrowdMode::Policy(ServePolicy::Skeptic)).answer(&cq),
             Answer::Choice(0)
         );
     }

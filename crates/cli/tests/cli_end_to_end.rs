@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 
 use katara_cli::{parse_args, run, Command, CrowdMode, IngestChoice, RunStatus};
+use katara_serve::ServePolicy;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("katara-cli-test-{tag}-{}", std::process::id()));
@@ -183,7 +184,7 @@ fn trust_mode_enriches_everything() {
     run(Command::Clean {
         table: table.to_str().unwrap().into(),
         kb: kb.to_str().unwrap().into(),
-        crowd: CrowdMode::Trust,
+        crowd: CrowdMode::Policy(ServePolicy::Trust),
         k: 3,
         out: None,
         enriched_kb: Some(enriched.to_str().unwrap().into()),
@@ -215,7 +216,7 @@ fn exhausted_budget_degrades_instead_of_failing() {
     let status = run(Command::Clean {
         table: table.to_str().unwrap().into(),
         kb: kb.to_str().unwrap().into(),
-        crowd: CrowdMode::Skeptic,
+        crowd: CrowdMode::Policy(ServePolicy::Skeptic),
         k: 3,
         out: None,
         enriched_kb: None,
@@ -324,7 +325,7 @@ fn strict_ingestion_rejects_the_same_corrupted_inputs() {
     let err = run(Command::Clean {
         table: table.to_str().unwrap().into(),
         kb: kb.to_str().unwrap().into(),
-        crowd: CrowdMode::Skeptic,
+        crowd: CrowdMode::Policy(ServePolicy::Skeptic),
         k: 3,
         out: None,
         enriched_kb: None,

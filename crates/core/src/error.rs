@@ -59,6 +59,14 @@ pub enum KataraError {
         /// The pipeline phase that could not start.
         phase: &'static str,
     },
+    /// A [`TableResolution`](crate::resolve::TableResolution) passed to
+    /// [`Katara::clean_with_resolution`](crate::pipeline::Katara::clean_with_resolution)
+    /// was built for another table: the shapes differ, or a cell does not
+    /// normalize to the value the snapshot holds for it.
+    ForeignSnapshot {
+        /// What differs.
+        detail: String,
+    },
 }
 
 impl fmt::Display for KataraError {
@@ -84,6 +92,9 @@ impl fmt::Display for KataraError {
             }
             KataraError::DeadlineExceeded { phase } => {
                 write!(f, "deadline exceeded before the {phase} phase")
+            }
+            KataraError::ForeignSnapshot { detail } => {
+                write!(f, "snapshot was built for another table: {detail}")
             }
         }
     }

@@ -255,6 +255,10 @@ impl Katara {
     /// snapshot is built here once per run. The injected snapshot is
     /// never mutated: annotation patches a private copy when enrichment
     /// writes to `kb`.
+    ///
+    /// A snapshot built for another table is refused with
+    /// [`KataraError::ForeignSnapshot`] before the run starts
+    /// ([`TableResolution::check_table`], one normalization per cell).
     pub fn clean_with_resolution<O: Oracle>(
         &self,
         table: &Table,
@@ -278,6 +282,9 @@ impl Katara {
         shared: Option<&'s TableResolution>,
         caches: &mut RunCaches,
     ) -> Result<(CleaningReport, Cow<'s, TableResolution>), KataraError> {
+        if let Some(shared) = shared {
+            shared.check_table(table)?;
+        }
         debug_assert!(
             shared.is_none_or(|r| r.is_current(kb)),
             "clean needs a snapshot current for its KB"
@@ -986,6 +993,52 @@ mod tests {
         .clean(&t, &mut kb_b, &mut crowd_b)
         .unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn a_snapshot_of_another_table_is_refused() {
+        let (mut kb, t) = setting();
+        let res = TableResolution::build(&t, &kb, usize::MAX);
+        // Rossi's and Pirlo's capitals swapped: the same shape.
+        let mut swapped = Table::with_opaque_columns("soccer", 3);
+        swapped.push_text_row(&["Rossi", "Italy", "Madrid"]);
+        swapped.push_text_row(&["Klate", "S. Africa", "Pretoria"]);
+        swapped.push_text_row(&["Pirlo", "Italy", "Rome"]);
+        swapped.push_text_row(&["Ramos", "Spain", "Madrid"]);
+        // Two more rows after the same four.
+        let mut longer = t.clone();
+        longer.push_text_row(&["Benzema", "France", "Paris"]);
+        longer.push_text_row(&["Rossi", "Italy", "Rome"]);
+        for other in [&swapped, &longer] {
+            let err = Katara::default()
+                .clean_with_resolution(other, &mut kb, &mut crowd(), Some(&res))
+                .unwrap_err();
+            assert!(matches!(err, KataraError::ForeignSnapshot { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_respelled_table_keeps_its_snapshot() {
+        let (kb, t) = setting();
+        let res = TableResolution::build(&t, &kb, usize::MAX);
+        // Case and runs of spaces normalize away.
+        let mut respelled = Table::with_opaque_columns("soccer", 3);
+        respelled.push_text_row(&["ROSSI", "italy", "Rome"]);
+        respelled.push_text_row(&["Klate", "S.   Africa", "Pretoria"]);
+        respelled.push_text_row(&["Pirlo", "  Italy ", "MADRID"]);
+        respelled.push_text_row(&["Ramos", "Spain", "Madrid"]);
+        let (mut kb_injected, mut kb_fresh) = (kb.clone(), kb);
+        let injected = Katara::default()
+            .clean_with_resolution(&respelled, &mut kb_injected, &mut crowd(), Some(&res))
+            .unwrap();
+        let fresh = Katara::default()
+            .clean(&respelled, &mut kb_fresh, &mut crowd())
+            .unwrap();
+        assert_eq!(format!("{injected:?}"), format!("{fresh:?}"));
+        assert_eq!(
+            katara_kb::ntriples::to_string(&kb_injected),
+            katara_kb::ntriples::to_string(&kb_fresh)
+        );
     }
 
     #[test]

@@ -39,6 +39,8 @@ use katara_kb::{ClassId, DeltaOp, Kb, LabelSearchStats, PropertyId, ResourceId};
 use katara_obs::{Counter, Gauge, NoopRecorder, Recorder};
 use katara_table::Table;
 
+use crate::error::KataraError;
+
 /// One distinct normalized cell value, resolved once.
 #[derive(Debug, Clone)]
 struct ResolvedValue {
@@ -246,6 +248,39 @@ impl TableResolution {
         } else {
             self.values.len() as f64 / self.non_null_cells as f64
         }
+    }
+
+    /// Check that this snapshot resolves `table`: the same shape, and
+    /// every cell null where the snapshot holds no value and otherwise
+    /// normalizing to the value it holds. Every tier is keyed by the
+    /// normalized spelling, so this holds exactly when [`Self::build`]
+    /// over `table` would give the same snapshot.
+    pub fn check_table(&self, table: &Table) -> Result<(), KataraError> {
+        let foreign = |detail: String| Err(KataraError::ForeignSnapshot { detail });
+        let rows = table.num_rows();
+        if self.cells.len() != table.num_columns() || self.cells.iter().any(|c| c.len() != rows) {
+            return foreign(format!(
+                "snapshot has {} columns of {} rows, table {} columns of {rows} rows",
+                self.cells.len(),
+                self.cells.first().map_or(0, Vec::len),
+                table.num_columns(),
+            ));
+        }
+        for (c, col) in self.cells.iter().enumerate() {
+            for (r, id) in col.iter().enumerate() {
+                let same = match (table.cell(r, c).as_str(), id) {
+                    (None, None) => true,
+                    (Some(cell), Some(id)) => {
+                        self.values[*id as usize].norm == sim::normalize(cell)
+                    }
+                    _ => false,
+                };
+                if !same {
+                    return foreign(format!("cell ({r}, {c}) differs"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// How many leading rows the pair memo covers.
@@ -470,14 +505,16 @@ impl TableResolution {
     ///   is bit-identical to the label index's scoring, and the index's
     ///   trigram prefilter only ever *drops* candidates, so no affected
     ///   value escapes.
-    /// * `Type { resource, .. }` re-resolves values whose candidate lists
-    ///   contain the resource (their `Q_types` closure may grow).
+    /// * `Type { resource, .. }` re-types values whose candidate lists
+    ///   contain the resource: their `Q_types` closure may grow. A type
+    ///   write changes no label, so their candidates stay as they are.
     /// * `Fact`/`LiteralFact` recompute the memoized pair entries whose
     ///   subject/object candidate sets contain the fact's endpoints.
     ///
-    /// Values re-resolved by the label/type phases also invalidate every
+    /// Values re-resolved by the label phase also invalidate every
     /// memoized pair naming them (those entries derive from the old
-    /// candidate lists).
+    /// candidate lists). Re-typed values do not: pair relations read only
+    /// candidates and normalized spellings.
     pub fn apply_enrichment(&mut self, kb: &Kb, ops: &[DeltaOp]) {
         let threshold = kb.sim_threshold();
         let live: Vec<u32> = (0..self.values.len() as u32)
@@ -581,9 +618,12 @@ impl TableResolution {
                 _ => {}
             }
         }
+        let mut retyped = 0u64;
         for &id in &type_dirty {
-            if dirty.insert(id) {
-                self.re_resolve(kb, id);
+            if !dirty.contains(&id) {
+                let v = &mut self.values[id as usize];
+                v.types = kb.types_for_candidates(&v.candidates);
+                retyped += 1;
             }
         }
 
@@ -604,8 +644,10 @@ impl TableResolution {
         }
 
         self.kb_version = kb.version();
-        self.recorder
-            .incr_by(Counter::ResolveValuesRepatched, dirty.len() as u64);
+        self.recorder.incr_by(
+            Counter::ResolveValuesRepatched,
+            dirty.len() as u64 + retyped,
+        );
     }
 }
 

@@ -276,6 +276,45 @@ fn label_search_counts_one_fuzzy_lookup_per_unlabelled_value() {
 }
 
 #[test]
+fn type_writes_repeat_no_label_search() {
+    // Annotation patches its snapshot after every enrichment write. A
+    // type write moves no label, so it must not send a value back
+    // through the label search: University's enrichment writes types
+    // but creates no entity, so enrichment on and off search alike.
+    let corpus = Corpus::build(&CorpusConfig::small());
+    let g = &corpus.university;
+    for flavor in [KbFlavor::YagoLike, KbFlavor::DbpediaLike] {
+        let run = |enrich_kb: bool| {
+            let mut kb = corpus.kb(flavor);
+            let rec = Arc::new(RunRecorder::new());
+            let config = KataraConfig {
+                recorder: rec.clone(),
+                annotation: AnnotationConfig {
+                    enrich_kb,
+                    ..AnnotationConfig::default()
+                },
+                ..KataraConfig::default()
+            };
+            let mut crowd = crowd_for(&corpus, g, flavor, 1.0, 0xC0FFEE);
+            Katara::new(config)
+                .clean(&g.table, &mut kb, &mut crowd)
+                .expect("corpus clean succeeds");
+            rec.snapshot()
+        };
+        let (on, off) = (run(true), run(false));
+        assert!(
+            on.counter("resolve.values_repatched") > 0,
+            "{flavor:?}: enrichment patched no value"
+        );
+        assert_eq!(
+            on.counter("kb.label_fuzzy_lookups"),
+            off.counter("kb.label_fuzzy_lookups"),
+            "{flavor:?}"
+        );
+    }
+}
+
+#[test]
 fn delta_edit_accounting_balances() {
     // Every edit a delta run applies lands in exactly one bucket:
     // `delta.tuples_touched` (the output could have changed) or

@@ -20,7 +20,8 @@
 //!   `400`, budget/deadline exhaustion yields partial reports, and
 //!   SIGTERM drains in-flight work before exit.
 //! * **Warm state** — the KB loads once; `TableResolution` snapshots
-//!   are cached across requests keyed by `(body hash, KB version)`.
+//!   are cached across requests keyed by the request body and the KB
+//!   version, and `/delta` sessions by a key the daemon assigns.
 //! * **Durable enrichment** ([`Server::bind_durable`]) — with a journal
 //!   directory, crowd-confirmed enrichment is appended to a
 //!   write-ahead journal (`katara_kb::Journal`) and fsynced *before*
