@@ -99,58 +99,10 @@ fn bench_topk_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Worker-pool scaling of candidate discovery. Besides the Criterion
-/// timings this emits `BENCH_discovery.json` at the workspace root
-/// (threads x wall-time x speedup; quick mode via `KATARA_BENCH_QUICK=1`).
-fn bench_thread_scaling(c: &mut Criterion) {
-    use katara_bench::perf;
-    use katara_core::Threads;
-
-    let corpus = bench_corpus();
-    let kb = corpus.kb(KbFlavor::YagoLike);
-    let table = &corpus.web[0].table;
-    let mut group = c.benchmark_group("discovery_thread_scaling");
-    group.sample_size(10);
-    let mut report = perf::Report::new("discovery", "web_table/yago-like");
-    let mut base_ms = None;
-    for threads in perf::thread_counts() {
-        let config = CandidateConfig {
-            threads: Threads::fixed(threads),
-            ..CandidateConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| discover_candidates(black_box(table), &kb, &config))
-        });
-        let (iters, wall_ms) = perf::run_timed(perf::sweep_iters(), || {
-            black_box(discover_candidates(table, &kb, &config));
-        });
-        let base = *base_ms.get_or_insert(wall_ms);
-        report
-            .samples
-            .push(perf::scaling_sample(threads, iters, wall_ms, base));
-    }
-    group.finish();
-    // One untimed instrumented run so the report records the workload's
-    // logical size (KB probes), not just its wall time.
-    let rec = std::sync::Arc::new(katara_obs::RunRecorder::new());
-    let instrumented = CandidateConfig {
-        threads: Threads::fixed(1),
-        recorder: rec.clone(),
-        ..CandidateConfig::default()
-    };
-    black_box(discover_candidates(table, &kb, &instrumented));
-    let mut metrics = rec.snapshot();
-    metrics.threads = 1;
-    report.metrics = Some(metrics);
-    let path = report.write().expect("write BENCH_discovery.json");
-    eprintln!("thread-scaling report: {}", path.display());
-}
-
 criterion_group!(
     benches,
     bench_candidate_generation,
     bench_algorithms,
-    bench_topk_sweep,
-    bench_thread_scaling
+    bench_topk_sweep
 );
 criterion_main!(benches);

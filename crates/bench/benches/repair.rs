@@ -82,79 +82,10 @@ fn bench_comparators(c: &mut Criterion) {
     group.finish();
 }
 
-/// Worker-pool scaling of per-row repair generation. Emits
-/// `BENCH_repair.json` at the workspace root (same schema as the
-/// discovery report; quick mode via `KATARA_BENCH_QUICK=1`).
-fn bench_thread_scaling(c: &mut Criterion) {
-    use katara_bench::perf;
-    use katara_core::repair::generate_repairs;
-    use katara_core::Threads;
-
-    let (kb, pattern, dirty) = person_fixture();
-    let config = RepairConfig::default();
-    let index = RepairIndex::build(&kb, &pattern, &config);
-    let rows: Vec<usize> = (0..dirty.num_rows().min(50)).collect();
-    let mut group = c.benchmark_group("repair_thread_scaling");
-    group.sample_size(10);
-    let mut report = perf::Report::new("repair", "person/dbpedia-like/k3");
-    let mut base_ms = None;
-    for threads in perf::thread_counts() {
-        let pool = Threads::fixed(threads);
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| {
-                generate_repairs(
-                    &index,
-                    &kb,
-                    &pattern,
-                    black_box(&dirty),
-                    &rows,
-                    3,
-                    &config,
-                    pool,
-                )
-            })
-        });
-        let (iters, wall_ms) = perf::run_timed(perf::sweep_iters(), || {
-            black_box(generate_repairs(
-                &index, &kb, &pattern, &dirty, &rows, 3, &config, pool,
-            ));
-        });
-        let base = *base_ms.get_or_insert(wall_ms);
-        report
-            .samples
-            .push(perf::scaling_sample(threads, iters, wall_ms, base));
-    }
-    group.finish();
-    // One untimed instrumented run (index build + repair generation) so
-    // the report records graphs built and repairs proposed.
-    let rec = std::sync::Arc::new(katara_obs::RunRecorder::new());
-    let instrumented = RepairConfig {
-        recorder: rec.clone(),
-        ..RepairConfig::default()
-    };
-    let obs_index = RepairIndex::build(&kb, &pattern, &instrumented);
-    black_box(generate_repairs(
-        &obs_index,
-        &kb,
-        &pattern,
-        &dirty,
-        &rows,
-        3,
-        &instrumented,
-        Threads::fixed(1),
-    ));
-    let mut metrics = rec.snapshot();
-    metrics.threads = 1;
-    report.metrics = Some(metrics);
-    let path = report.write().expect("write BENCH_repair.json");
-    eprintln!("thread-scaling report: {}", path.display());
-}
-
 criterion_group!(
     benches,
     bench_index_build,
     bench_topk_repairs,
-    bench_comparators,
-    bench_thread_scaling
+    bench_comparators
 );
 criterion_main!(benches);

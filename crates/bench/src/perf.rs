@@ -1,20 +1,22 @@
 //! Machine-readable bench reports.
 //!
-//! Besides the usual Criterion output, the `discovery`, `repair`,
-//! `resolve`, `serve`, `incremental` and `crowd` bench targets each drop
-//! a `BENCH_<name>.json` at the workspace root. Every file shares one
+//! Besides the usual Criterion output, the `resolve`, `serve`,
+//! `incremental` and `crowd` bench targets each drop a
+//! `BENCH_<name>.json` at the workspace root. Every file shares one
 //! envelope, written by [`Report`]:
 //!
 //! ```json
 //! {
-//!   "bench": "discovery",
-//!   "fixture": "web_table/yago-like",
+//!   "bench": "resolve",
+//!   "fixture": "person/yago-like",
 //!   "mode": "full",
 //!   "parallelism": 8,
+//!   "distinct_ratio": 0.2740,
+//!   "triples": 1181822,
 //!   "metrics": { "schema": "katara-run-metrics/v1", ... },
 //!   "samples": [
-//!     { "threads": 1, "iters": 10, "wall_ms": 12.300, "speedup": 1.000 },
-//!     { "threads": 2, "iters": 18, "wall_ms": 6.500, "speedup": 1.892 }
+//!     { "config": "cold", "iters": 10, "wall_ms": 1417.250, "speedup": 1.000 },
+//!     { "config": "snapshot", "iters": 12, "wall_ms": 467.500, "speedup": 3.032 }
 //!   ]
 //! }
 //! ```
@@ -23,14 +25,14 @@
 //! curve on a one-core box reads as a hardware limit, not a regression.
 //! Fixture-level fields (the resolve bench's `distinct_ratio` and
 //! `triples`) follow it as the report's `header`. Each sample is the
-//! ordered list of fields its bench measured, so the six files differ
+//! ordered list of fields its bench measured, so the four files differ
 //! only in their sample keys; `scripts/check_bench_schema.sh` states
 //! and checks each file's keys.
 //!
 //! A `speedup` is relative to the sweep's baseline, which every sweep
-//! measures first: threads 1, `"cold"`, and `"full"` at each edit rate
+//! measures first: `"cold"`, or `"full"` at each edit rate
 //! ([`speedup`]). Set `KATARA_BENCH_QUICK=1` for a cut-down sweep
-//! (threads 1–2, fewer iterations) suitable for CI smoke jobs.
+//! (fewer iterations) suitable for CI smoke jobs.
 //!
 //! Timed configs use *min-total-time* control ([`run_timed`]):
 //! iterations repeat until at least [`min_sample_ms`] of wall time has
@@ -57,17 +59,7 @@ pub fn quick_mode() -> bool {
     std::env::var(QUICK_ENV).is_ok_and(|v| !v.is_empty())
 }
 
-/// The worker-pool sizes to sweep: `[1, 2]` in quick mode, `[1, 2, 4, 8]`
-/// otherwise.
-pub fn thread_counts() -> Vec<usize> {
-    if quick_mode() {
-        vec![1, 2]
-    } else {
-        vec![1, 2, 4, 8]
-    }
-}
-
-/// Timed iterations per thread count: trimmed in quick mode. This is a
+/// Timed iterations per measured config: trimmed in quick mode. This is a
 /// *minimum* — sampling continues until [`min_sample_ms`] has elapsed.
 pub fn sweep_iters() -> usize {
     if quick_mode() {
@@ -182,17 +174,6 @@ impl Field {
 
 /// One measured point: its fields in the order they are written.
 pub type Sample = Vec<(&'static str, Field)>;
-
-/// One point of a worker-pool sweep ([`thread_counts`]), its speedup
-/// taken against the single-thread baseline `base_ms`.
-pub fn scaling_sample(threads: usize, iters: usize, wall_ms: f64, base_ms: f64) -> Sample {
-    vec![
-        ("threads", Field::Int(threads)),
-        ("iters", Field::Int(iters)),
-        ("wall_ms", Field::F3(wall_ms)),
-        ("speedup", Field::F3(speedup(base_ms, wall_ms))),
-    ]
-}
 
 /// A bench report: the shared envelope plus the bench's samples.
 #[derive(Debug, Clone)]
@@ -324,26 +305,6 @@ mod tests {
             "{{\n  \"bench\": \"{bench}\",\n  \"fixture\": \"{fixture}\",\n  \
              \"mode\": \"full\",\n  \"parallelism\": 2,\n"
         )
-    }
-
-    #[test]
-    fn scaling_report_is_byte_identical_to_the_golden_document() {
-        let mut r = Report::new("discovery", "web \"quoted\" \\ table");
-        let base = 12.3456;
-        for (threads, iters, wall) in [(1, 10, base), (2, 18, 6.5), (4, 25, 4.0004)] {
-            r.samples.push(scaling_sample(threads, iters, wall, base));
-        }
-        r.metrics = Some(metrics());
-        let expected = head("discovery", r#"web \"quoted\" \\ table"#)
-            + METRICS_JSON
-            + r#"  "samples": [
-    { "threads": 1, "iters": 10, "wall_ms": 12.346, "speedup": 1.000 },
-    { "threads": 2, "iters": 18, "wall_ms": 6.500, "speedup": 1.899 },
-    { "threads": 4, "iters": 25, "wall_ms": 4.000, "speedup": 3.086 }
-  ]
-}
-"#;
-        assert_eq!(r.render("full", 2), expected);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use katara_crowd::{Answer, Crowd, Oracle, Question};
-use katara_exec::Deadline;
 use katara_kb::{EnrichmentDelta, Kb, ResourceId};
 use katara_table::Table;
 
@@ -85,12 +84,6 @@ pub struct AnnotationConfig {
     /// Minimum tuples before feedback may trigger (tiny tables cannot
     /// outvote their own errors).
     pub feedback_min_tuples: usize,
-    /// Cooperative cancellation, checked at the top of the per-row loop:
-    /// rows reached after expiry are annotated
-    /// [`Unresolved`](TupleStatus::Unresolved) without touching the KB or
-    /// the crowd, and the feedback re-pass is skipped. Inert by default;
-    /// the pipeline injects its run deadline here.
-    pub deadline: Deadline,
 }
 
 impl Default for AnnotationConfig {
@@ -99,7 +92,6 @@ impl Default for AnnotationConfig {
             enrich_kb: true,
             feedback_threshold: 0.5,
             feedback_min_tuples: 8,
-            deadline: Deadline::none(),
         }
     }
 }
@@ -191,6 +183,11 @@ fn fractions<'a>(cats: impl Iterator<Item = &'a Category>) -> [f64; 3] {
 /// feedback trips (see [`AnnotationConfig::feedback_threshold`]), the
 /// offending elements are stripped and the table re-annotated once; the
 /// effective pattern is returned in the result.
+///
+/// The crowd's deadline ([`Crowd::deadline`]) is checked at the top of
+/// the per-row loop: rows reached after expiry are annotated
+/// [`Unresolved`](TupleStatus::Unresolved) without touching the KB or the
+/// crowd, and the feedback re-pass is skipped.
 pub fn annotate<O: Oracle>(
     table: &Table,
     pattern: &TablePattern,
@@ -204,11 +201,11 @@ pub fn annotate<O: Oracle>(
 /// Snapshot-aware variant of [`annotate`]: cell lookups during tuple
 /// matching and entity resolution go through `resolution` when given,
 /// which must be current for `kb` ([`TableResolution::is_current`]).
-/// KB enrichment mutates `kb` mid-run; before every later read the
-/// snapshot is patched with the writes, never read stale, so results
-/// are identical to the live-query [`annotate`]. The patches go to a
-/// private copy, made on the first write; `resolution` itself is never
-/// mutated.
+/// KB enrichment mutates `kb` mid-run; before a read that an entity
+/// write could change, the snapshot is patched with the writes, never
+/// read stale, so results are identical to the live-query [`annotate`].
+/// The patches go to a private copy, made on the first patch;
+/// `resolution` itself is never mutated.
 pub fn annotate_resolved<O: Oracle>(
     table: &Table,
     pattern: &TablePattern,
@@ -259,17 +256,18 @@ pub fn annotate_resolved_cached<O: Oracle>(
     };
     let mut result =
         annotate_resolved_inner(table, pattern, kb, crowd, config, &mut view, full_rows);
-    // Leave the caller's snapshot current, even after a final write.
-    view.current(kb);
+    // Leave the caller's snapshot current in every tier.
+    view.patch_if(kb, TableResolution::is_current);
     result.delta = kb.take_delta();
     result
 }
 
 /// Annotation's copy-on-write view of the snapshot: every read goes
-/// through [`Self::current`], which first folds the enrichment writes
-/// captured since the last patch into the snapshot via
-/// [`TableResolution::apply_enrichment`]. A borrowed snapshot is cloned
-/// on the first patch, so a run without writes never copies.
+/// through [`Self::current`], which folds the enrichment writes captured
+/// since the last patch into the snapshot via
+/// [`TableResolution::apply_enrichment`] once an entity write has made
+/// its candidate tier stale. A borrowed snapshot is cloned on the first
+/// patch, so a run without writes never copies.
 struct SnapshotView<'s, 'r> {
     snapshot: Option<&'s mut Cow<'r, TableResolution>>,
     /// How many of `Kb::captured_ops` are already folded in.
@@ -277,10 +275,23 @@ struct SnapshotView<'s, 'r> {
 }
 
 impl SnapshotView<'_, '_> {
-    /// The snapshot, patched up to `kb`'s version; `None` without one.
+    /// The snapshot with its candidate tier current for `kb`; `None`
+    /// without one. Annotation reads no other tier, and only an entity
+    /// write moves that one, so type and fact writes wait for the next
+    /// entity write or the end of the run.
     fn current(&mut self, kb: &Kb) -> Option<&TableResolution> {
+        self.patch_if(kb, TableResolution::candidates_current)
+    }
+
+    /// The snapshot, first patched with every write since the last patch
+    /// unless `current` holds for it.
+    fn patch_if(
+        &mut self,
+        kb: &Kb,
+        current: fn(&TableResolution, &Kb) -> bool,
+    ) -> Option<&TableResolution> {
         let snapshot = self.snapshot.as_deref_mut()?;
-        if !snapshot.is_current(kb) {
+        if !current(snapshot, kb) {
             let ops = &kb.captured_ops()[self.patched..];
             snapshot.to_mut().apply_enrichment(kb, ops);
             self.patched += ops.len();
@@ -309,7 +320,7 @@ fn annotate_resolved_inner<O: Oracle>(
     if table.num_rows() < config.feedback_min_tuples {
         return result;
     }
-    if config.deadline.triggered() {
+    if crowd.deadline().triggered() {
         // The first pass already degraded; a feedback re-pass would only
         // mass-produce Unresolved rows from a dead crowd.
         return result;
@@ -412,7 +423,7 @@ fn annotate_once<O: Oracle>(
         delta: EnrichmentDelta::default(),
     };
     for row_idx in 0..table.num_rows() {
-        if config.deadline.expired() {
+        if crowd.deadline().expired() {
             // Past the deadline a row gets no KB matching and no crowd
             // contact: neither trusted nor condemned, exactly like a
             // crowd that never settled.

@@ -68,7 +68,8 @@ pub struct KataraConfig {
     /// Per-run wall-clock deadline, checked cooperatively at phase
     /// boundaries, inside the validation scheduler and annotation row
     /// loops, by every repair worker, and before every crowd ask (the
-    /// pipeline injects it into the stage configs and the crowd, like the
+    /// pipeline gives it to the crowd, which validation and annotation
+    /// consult, and injects it into the repair config, like the
     /// recorder). Expiry before discovery yields a pattern errors with
     /// [`KataraError::DeadlineExceeded`]; later expiry completes with a
     /// partial report whose finished-phase prefix is identical to the
@@ -336,8 +337,9 @@ impl Katara {
     ) -> Result<CleaningReport, KataraError> {
         // One recorder for the whole run: KataraConfig's wins — it is
         // injected into every stage config the pipeline actually runs.
-        // The deadline travels the same way (the crowd got it in
-        // `open_run`), so all cancellation points consult one cutoff.
+        // The deadline reaches validation and annotation through the
+        // crowd (armed in `open_run`) and repair through its config, so
+        // all cancellation points consult one cutoff.
         let rec = self.config.recorder.clone();
         let dl = self.config.deadline.clone();
         let candidates_cfg = CandidateConfig {
@@ -347,14 +349,6 @@ impl Katara {
         let discovery_cfg = DiscoveryConfig {
             recorder: rec.clone(),
             ..self.config.discovery.clone()
-        };
-        let validation_cfg = ValidationConfig {
-            deadline: dl.clone(),
-            ..self.config.validation.clone()
-        };
-        let annotation_cfg = AnnotationConfig {
-            deadline: dl.clone(),
-            ..self.config.annotation.clone()
         };
         let repair_cfg = RepairConfig {
             recorder: rec.clone(),
@@ -445,7 +439,7 @@ impl Katara {
                     kb,
                     patterns,
                     crowd,
-                    &validation_cfg,
+                    &self.config.validation,
                     self.config.strategy,
                 )
             }
@@ -479,7 +473,7 @@ impl Katara {
                 &pattern,
                 kb,
                 crowd,
-                &annotation_cfg,
+                &self.config.annotation,
                 Some(&mut *snapshot),
                 full,
             )

@@ -11,14 +11,17 @@
 //!
 //! Patterns may be disconnected; instance graphs are enumerated per
 //! connected component (the paper treats disconnected sub-patterns
-//! independently) and per-component repairs combine additively.
+//! independently) and per-component repairs combine additively. One walk
+//! enumerates the graphs, `align` scores a tuple against a set of them,
+//! and `combine` merges the components; the indexed and naive variants
+//! share both.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use katara_exec::{Deadline, Threads};
-use katara_kb::{sim, Kb, ResourceId};
+use katara_kb::{sim, Kb, PropertyId, ResourceId};
 use katara_obs::{Counter, Histogram, NoopRecorder, Recorder};
 use katara_table::{Table, Value};
 
@@ -62,6 +65,18 @@ impl Default for RepairConfig {
             recorder: Arc::new(NoopRecorder),
             deadline: Deadline::none(),
         }
+    }
+}
+
+impl RepairConfig {
+    /// The change cost `c_i` of column `col`: 1.0 without per-column
+    /// costs.
+    fn column_cost(&self, col: usize) -> f64 {
+        self.column_costs
+            .as_ref()
+            .and_then(|c| c.get(col))
+            .copied()
+            .unwrap_or(1.0)
     }
 }
 
@@ -160,7 +175,7 @@ fn build_component(
         .enumerate()
         .map(|(slot, &ni)| (col_of(ni), slot))
         .collect();
-    let edges: Vec<(usize, usize, katara_kb::PropertyId, bool)> = pattern
+    let edges: Vec<(usize, usize, PropertyId, bool)> = pattern
         .edges()
         .iter()
         .filter_map(|e| {
@@ -178,36 +193,32 @@ fn build_component(
         .min_by_key(|&(_, size)| size)
         .map(|(slot, _)| slot);
 
-    let mut graphs: Vec<InstanceGraph> = Vec::new();
-    let mut truncated = false;
-
+    let mut walk = Walk {
+        kb,
+        pattern,
+        node_indexes: &node_indexes,
+        edges: &edges,
+        values: vec![None; node_indexes.len()],
+        graphs: Vec::new(),
+        cap: config.max_graphs_per_component,
+        truncated: false,
+    };
     if let Some(seed) = seed {
         // invariant: `seed` came from the filter_map above, which only
         // yields slots whose node has `class = Some(_)`.
         let seed_class = pattern.nodes()[node_indexes[seed]]
             .class
             .expect("seed is typed");
-        let mut values: Vec<Option<NodeVal>> = vec![None; node_indexes.len()];
         for &r in kb.entities_of_class(seed_class) {
-            values[seed] = Some(NodeVal::Res(r));
-            expand(
-                kb,
-                pattern,
-                &node_indexes,
-                &edges,
-                &mut values,
-                &mut graphs,
-                config.max_graphs_per_component,
-                &mut truncated,
-            );
-            values[seed] = None;
-            if truncated {
+            walk.descend(seed, NodeVal::Res(r));
+            if walk.truncated {
                 break;
             }
         }
     }
     // A component with no typed node (pure literal) yields no graphs —
     // there is nothing to anchor enumeration on.
+    let (mut graphs, truncated) = (walk.graphs, walk.truncated);
 
     let mut inverted: HashMap<(usize, String), Vec<u32>> = HashMap::new();
     for (gi, g) in graphs.iter_mut().enumerate() {
@@ -234,120 +245,89 @@ fn build_component(
     }
 }
 
-/// Depth-first completion of a partial assignment along component edges.
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    kb: &Kb,
-    pattern: &TablePattern,
-    node_indexes: &[usize],
-    edges: &[(usize, usize, katara_kb::PropertyId, bool)],
-    values: &mut Vec<Option<NodeVal>>,
-    graphs: &mut Vec<InstanceGraph>,
+/// The depth-first enumeration of one component's instance graphs.
+struct Walk<'a> {
+    kb: &'a Kb,
+    pattern: &'a TablePattern,
+    node_indexes: &'a [usize],
+    /// `(subject slot, object slot, property, object is a literal)`.
+    edges: &'a [(usize, usize, PropertyId, bool)],
+    /// The partial assignment, one value per slot.
+    values: Vec<Option<NodeVal>>,
+    graphs: Vec<InstanceGraph>,
     cap: usize,
-    truncated: &mut bool,
-) {
-    if *truncated {
-        return;
-    }
-    // Verify edges with both ends assigned; find a frontier edge.
-    let mut frontier: Option<(usize, usize, katara_kb::PropertyId, bool, bool)> = None;
-    for &(s, o, p, lit) in edges {
-        match (&values[s], &values[o]) {
-            (Some(NodeVal::Res(rs)), Some(NodeVal::Res(ro))) if !kb.holds(*rs, p, *ro) => {
-                return;
-            }
-            (Some(NodeVal::Res(rs)), Some(NodeVal::Lit(l))) if !kb.holds_literal(*rs, p, l) => {
-                return;
-            }
-            (Some(_), None) if frontier.is_none() => frontier = Some((s, o, p, lit, true)),
-            (None, Some(_)) if frontier.is_none() && !lit => frontier = Some((s, o, p, lit, false)),
-            _ => {}
-        }
+    truncated: bool,
+}
+
+impl Walk<'_> {
+    /// Assign `slot`, complete the assignment along the component's
+    /// edges, and unassign it again.
+    fn descend(&mut self, slot: usize, value: NodeVal) {
+        self.values[slot] = Some(value);
+        self.expand();
+        self.values[slot] = None;
     }
 
-    match frontier {
-        None => {
-            // No expandable edge left. Complete if all nodes assigned.
-            if values.iter().all(Option::is_some) {
-                if graphs.len() >= cap {
-                    *truncated = true;
+    /// Depth-first completion of the partial assignment.
+    fn expand(&mut self) {
+        if self.truncated {
+            return;
+        }
+        let kb = self.kb;
+        // Verify edges with both ends assigned; find a frontier edge, as
+        // (assigned end, open end, property, literal object, forward).
+        let mut frontier = None;
+        for &(s, o, p, lit) in self.edges {
+            match (&self.values[s], &self.values[o]) {
+                (Some(NodeVal::Res(rs)), Some(NodeVal::Res(ro))) if !kb.holds(*rs, p, *ro) => {
                     return;
                 }
-                graphs.push(InstanceGraph {
-                    values: values.iter().cloned().map(Option::unwrap).collect(),
+                (Some(NodeVal::Res(rs)), Some(NodeVal::Lit(l))) if !kb.holds_literal(*rs, p, l) => {
+                    return;
+                }
+                (Some(_), None) if frontier.is_none() => frontier = Some((s, o, p, lit, true)),
+                (None, Some(_)) if frontier.is_none() && !lit => {
+                    frontier = Some((o, s, p, lit, false))
+                }
+                _ => {}
+            }
+        }
+
+        let Some((from, open, p, lit, forward)) = frontier else {
+            // No expandable edge left. Complete if all nodes assigned.
+            if self.values.iter().all(Option::is_some) {
+                if self.graphs.len() >= self.cap {
+                    self.truncated = true;
+                    return;
+                }
+                self.graphs.push(InstanceGraph {
+                    values: self.values.iter().cloned().map(Option::unwrap).collect(),
                     norms: Vec::new(), // filled by the inverted-list pass
                 });
             }
             // Unassigned nodes unreachable via edges (can happen only for
             // untyped nodes hanging off unassigned subjects) — drop.
-        }
-        Some((s, o, p, obj_literal, forward)) => {
-            if forward {
-                let Some(NodeVal::Res(rs)) = values[s].clone() else {
-                    return; // a literal has no outgoing edges to follow
-                };
-                if obj_literal {
-                    for l in kb.literals_linked(rs, p) {
-                        values[o] = Some(NodeVal::Lit(kb.literal_value(l).to_string()));
-                        expand(
-                            kb,
-                            pattern,
-                            node_indexes,
-                            edges,
-                            values,
-                            graphs,
-                            cap,
-                            truncated,
-                        );
-                        values[o] = None;
-                    }
-                } else {
-                    let oclass = pattern.nodes()[node_indexes[o]].class;
-                    for r in kb.objects_linked(rs, p) {
-                        if let Some(c) = oclass {
-                            if !kb.has_type(r, c) {
-                                continue;
-                            }
-                        }
-                        values[o] = Some(NodeVal::Res(r));
-                        expand(
-                            kb,
-                            pattern,
-                            node_indexes,
-                            edges,
-                            values,
-                            graphs,
-                            cap,
-                            truncated,
-                        );
-                        values[o] = None;
-                    }
-                }
-            } else {
-                let Some(NodeVal::Res(ro)) = values[o].clone() else {
-                    return; // literal object cannot seed reverse expansion
-                };
-                let sclass = pattern.nodes()[node_indexes[s]].class;
-                for r in kb.subjects_linking(ro, p) {
-                    if let Some(c) = sclass {
-                        if !kb.has_type(r, c) {
-                            continue;
-                        }
-                    }
-                    values[s] = Some(NodeVal::Res(r));
-                    expand(
-                        kb,
-                        pattern,
-                        node_indexes,
-                        edges,
-                        values,
-                        graphs,
-                        cap,
-                        truncated,
-                    );
-                    values[s] = None;
-                }
+            return;
+        };
+        let Some(NodeVal::Res(r)) = self.values[from] else {
+            return; // a literal is the subject of no fact
+        };
+        if lit {
+            // Only forward edges reach a literal object.
+            for l in kb.literals_linked(r, p) {
+                self.descend(open, NodeVal::Lit(kb.literal_value(l).to_string()));
             }
+            return;
+        }
+        let class = self.pattern.nodes()[self.node_indexes[open]].class;
+        let mut linked = if forward {
+            kb.objects_linked(r, p)
+        } else {
+            kb.subjects_linking(r, p)
+        };
+        linked.retain(|&x| class.is_none_or(|c| kb.has_type(x, c)));
+        for x in linked {
+            self.descend(open, NodeVal::Res(x));
         }
     }
 }
@@ -391,123 +371,142 @@ pub fn topk_repairs_resolved(
         index.node_columns.len(),
         "repair index was built for a different pattern"
     );
-    let cost_of = |col: usize| -> f64 {
-        config
-            .column_costs
-            .as_ref()
-            .and_then(|c| c.get(col))
-            .copied()
-            .unwrap_or(1.0)
-    };
-    let norm_of_cell = |col: usize| -> Option<Cow<'_, str>> {
-        let cell = row.get(col).and_then(Value::as_str)?;
-        match resolution {
-            Some((res, r)) => Some(
-                res.cell_norm(col, r)
-                    .map(Cow::Borrowed)
-                    .unwrap_or_else(|| Cow::Owned(sim::normalize(cell))),
-            ),
-            None => Some(Cow::Owned(sim::normalize(cell))),
-        }
-    };
-
-    // Top-k truncation accounting: set whenever a candidate list was cut
-    // to fit `k` (the tuple had more evidence than the caller asked for).
-    let mut truncated = false;
-    // Top-k candidate repairs per component.
-    let mut per_component: Vec<Vec<Repair>> = Vec::new();
-    for comp in &index.components {
-        // Normalized tuple cell per slot, computed once per component
-        // (not once per overlapping graph as historically).
-        let slot_norms: Vec<Option<Cow<'_, str>>> = comp
-            .node_indexes
-            .iter()
-            .map(|&ni| norm_of_cell(index.node_columns[ni]))
-            .collect();
-        // Gather overlapping graphs via the inverted lists.
-        let mut overlap: Vec<u32> = Vec::new();
-        for (slot, norm) in slot_norms.iter().enumerate() {
-            let Some(norm) = norm else {
-                continue;
-            };
-            if let Some(gs) = comp.inverted.get(&(slot, norm.to_string())) {
-                overlap.extend_from_slice(gs);
+    let per_component = index
+        .components
+        .iter()
+        .map(|comp| {
+            let slot_norms = index.slot_norms(comp, row, resolution);
+            // The graphs sharing a value with the tuple, via the inverted
+            // lists.
+            let mut overlap: Vec<u32> = Vec::new();
+            for (slot, norm) in slot_norms.iter().enumerate() {
+                let Some(norm) = norm else {
+                    continue;
+                };
+                if let Some(gs) = comp.inverted.get(&(slot, norm.to_string())) {
+                    overlap.extend_from_slice(gs);
+                }
             }
-        }
-        overlap.sort_unstable();
-        overlap.dedup();
-        if overlap.is_empty() {
-            continue;
-        }
-        let mut cands: Vec<Repair> = overlap
-            .into_iter()
+            overlap.sort_unstable();
+            overlap.dedup();
+            let graph_ids = overlap.into_iter().map(|gi| gi as usize);
+            let mut cands = index.align(kb, comp, &slot_norms, graph_ids, config);
+            drop_unsupported_groups(&mut cands, config.max_alternatives_per_cell_set);
+            cands
+        })
+        .collect();
+    let (out, truncated) = combine(per_component, k);
+    record_tuple(config, &out, truncated);
+    out
+}
+
+impl RepairIndex {
+    /// The tuple's normalized cell at each slot of `comp` (`None` for a
+    /// null cell), from the snapshot's string tier when one is given.
+    fn slot_norms<'a>(
+        &self,
+        comp: &ComponentIndex,
+        row: &'a [Value],
+        resolution: Option<(&'a TableResolution, usize)>,
+    ) -> Vec<Option<Cow<'a, str>>> {
+        comp.node_indexes
+            .iter()
+            .map(|&ni| {
+                let col = self.node_columns[ni];
+                let cell = row.get(col).and_then(Value::as_str)?;
+                Some(
+                    match resolution.and_then(|(res, r)| res.cell_norm(col, r)) {
+                        Some(norm) => Cow::Borrowed(norm),
+                        None => Cow::Owned(sim::normalize(cell)),
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// Align the tuple, given as its normalized cells per slot, with each
+    /// graph of `comp` in `graph_ids`: the repair changes every cell that
+    /// disagrees with the graph. Cost-sorted, one repair per change set.
+    fn align(
+        &self,
+        kb: &Kb,
+        comp: &ComponentIndex,
+        slot_norms: &[Option<Cow<'_, str>>],
+        graph_ids: impl Iterator<Item = usize>,
+        config: &RepairConfig,
+    ) -> Vec<Repair> {
+        let mut cands: Vec<Repair> = graph_ids
             .map(|gi| {
-                let g = &comp.graphs[gi as usize];
+                let g = &comp.graphs[gi];
                 let mut cost = 0.0;
                 let mut changes = Vec::new();
                 for (slot, &ni) in comp.node_indexes.iter().enumerate() {
-                    let col = index.node_columns[ni];
-                    let matches = slot_norms[slot].as_deref() == Some(g.norms[slot].as_str());
-                    if !matches {
-                        let new_val = match &g.values[slot] {
-                            NodeVal::Res(r) => kb.label_of(*r).to_string(),
-                            NodeVal::Lit(l) => l.clone(),
-                        };
-                        cost += cost_of(col);
-                        changes.push((col, new_val));
+                    if slot_norms[slot].as_deref() == Some(g.norms[slot].as_str()) {
+                        continue;
                     }
+                    let col = self.node_columns[ni];
+                    let new_val = match &g.values[slot] {
+                        NodeVal::Res(r) => kb.label_of(*r).to_string(),
+                        NodeVal::Lit(l) => l.clone(),
+                    };
+                    cost += config.column_cost(col);
+                    changes.push((col, new_val));
                 }
                 Repair { cost, changes }
             })
             .collect();
-        cands.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.changes.cmp(&b.changes))
-        });
+        cands.sort_by(by_cost);
         cands.dedup_by(|a, b| a.changes == b.changes);
-        drop_unsupported_groups(&mut cands, config.max_alternatives_per_cell_set);
+        cands
+    }
+}
+
+/// Least cost first, ties broken by the change lists.
+fn by_cost(a: &Repair, b: &Repair) -> std::cmp::Ordering {
+    a.cost
+        .total_cmp(&b.cost)
+        .then_with(|| a.changes.cmp(&b.changes))
+}
+
+/// Combine per-component candidates additively into the k cheapest
+/// repairs, diversified. A component without candidates leaves its
+/// columns as they are; when no component has any, there is no evidence
+/// to repair from and the result is empty. Also reports whether any list
+/// was cut to fit `k` (the tuple had more evidence than asked for).
+fn combine(per_component: Vec<Vec<Repair>>, k: usize) -> (Vec<Repair>, bool) {
+    let mut truncated = false;
+    let mut combined: Option<Vec<Repair>> = None;
+    for cands in per_component.into_iter().filter(|c| !c.is_empty()) {
         truncated |= cands.len() > k;
-        per_component.push(diversify(cands, k));
-    }
-    per_component.retain(|c| !c.is_empty());
-
-    if per_component.is_empty() {
-        record_tuple(config, &[], truncated);
-        return Vec::new();
-    }
-
-    // Combine components additively, keeping the k cheapest merges.
-    let mut combined: Vec<Repair> = vec![Repair {
-        cost: 0.0,
-        changes: Vec::new(),
-    }];
-    for comp in per_component {
-        let mut next = Vec::with_capacity(combined.len() * comp.len());
-        for base in &combined {
+        let comp = diversify(cands, k);
+        let base = combined.unwrap_or_else(|| {
+            vec![Repair {
+                cost: 0.0,
+                changes: Vec::new(),
+            }]
+        });
+        let mut next = Vec::with_capacity(base.len() * comp.len());
+        for b in &base {
             for cand in &comp {
-                let mut changes = base.changes.clone();
+                let mut changes = b.changes.clone();
                 changes.extend(cand.changes.iter().cloned());
                 next.push(Repair {
-                    cost: base.cost + cand.cost,
+                    cost: b.cost + cand.cost,
                     changes,
                 });
             }
         }
-        next.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.changes.cmp(&b.changes))
-        });
+        next.sort_by(by_cost);
         // Keep extra headroom so the final diversification has material.
         truncated |= next.len() > k.saturating_mul(3);
         next.truncate(k.saturating_mul(3));
-        combined = next;
+        combined = Some(next);
     }
+    let Some(combined) = combined else {
+        return (Vec::new(), truncated);
+    };
     truncated |= combined.len() > k;
-    let out = diversify(combined, k);
-    record_tuple(config, &out, truncated);
-    out
+    (diversify(combined, k), truncated)
 }
 
 /// Export one tuple's repair outcome as run metrics. Called per tuple —
@@ -642,8 +641,9 @@ fn diversify(cands: Vec<Repair>, k: usize) -> Vec<Repair> {
 /// and each graph in `G` … unfortunately, this is too slow in practice"):
 /// scores *every* instance graph instead of only those sharing a value
 /// with the tuple. Kept as the ablation baseline for the inverted-list
-/// optimization; results match [`topk_repairs`] on its overlap set but
-/// may additionally surface zero-overlap (full-rewrite) repairs.
+/// optimization: it aligns and combines as [`topk_repairs`] does, without
+/// the ambiguity cut-off and the metrics. Results match on its overlap
+/// set but may additionally surface zero-overlap (full-rewrite) repairs.
 pub fn topk_repairs_naive(
     index: &RepairIndex,
     kb: &Kb,
@@ -656,85 +656,15 @@ pub fn topk_repairs_naive(
         return Vec::new();
     }
     assert_eq!(pattern.nodes().len(), index.node_columns.len());
-    let cost_of = |col: usize| -> f64 {
-        config
-            .column_costs
-            .as_ref()
-            .and_then(|c| c.get(col))
-            .copied()
-            .unwrap_or(1.0)
-    };
-    let mut per_component: Vec<Vec<Repair>> = Vec::new();
-    for comp in &index.components {
-        if comp.graphs.is_empty() {
-            continue;
-        }
-        let slot_norms: Vec<Option<String>> = comp
-            .node_indexes
-            .iter()
-            .map(|&ni| {
-                row.get(index.node_columns[ni])
-                    .and_then(Value::as_str)
-                    .map(sim::normalize)
-            })
-            .collect();
-        let mut cands: Vec<Repair> = comp
-            .graphs
-            .iter()
-            .map(|g| {
-                let mut cost = 0.0;
-                let mut changes = Vec::new();
-                for (slot, &ni) in comp.node_indexes.iter().enumerate() {
-                    let col = index.node_columns[ni];
-                    let matches = slot_norms[slot].as_deref() == Some(g.norms[slot].as_str());
-                    if !matches {
-                        let new_val = match &g.values[slot] {
-                            NodeVal::Res(r) => kb.label_of(*r).to_string(),
-                            NodeVal::Lit(l) => l.clone(),
-                        };
-                        cost += cost_of(col);
-                        changes.push((col, new_val));
-                    }
-                }
-                Repair { cost, changes }
-            })
-            .collect();
-        cands.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.changes.cmp(&b.changes))
-        });
-        cands.dedup_by(|a, b| a.changes == b.changes);
-        per_component.push(diversify(cands, k));
-    }
-    if per_component.is_empty() {
-        return Vec::new();
-    }
-    let mut combined: Vec<Repair> = vec![Repair {
-        cost: 0.0,
-        changes: Vec::new(),
-    }];
-    for comp in per_component {
-        let mut next = Vec::with_capacity(combined.len() * comp.len());
-        for base in &combined {
-            for cand in &comp {
-                let mut changes = base.changes.clone();
-                changes.extend(cand.changes.iter().cloned());
-                next.push(Repair {
-                    cost: base.cost + cand.cost,
-                    changes,
-                });
-            }
-        }
-        next.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.changes.cmp(&b.changes))
-        });
-        next.truncate(k.saturating_mul(3));
-        combined = next;
-    }
-    diversify(combined, k)
+    let per_component = index
+        .components
+        .iter()
+        .map(|comp| {
+            let slot_norms = index.slot_norms(comp, row, None);
+            index.align(kb, comp, &slot_norms, 0..comp.graphs.len(), config)
+        })
+        .collect();
+    combine(per_component, k).0
 }
 
 /// Convenience: apply a repair to a table row (used by examples/eval).

@@ -25,10 +25,12 @@
 //! `debug_assert!`). Whoever writes to the KB brings the snapshot along
 //! with [`TableResolution::apply_enrichment`], which re-resolves exactly
 //! the values the writes can have affected: annotation patches its
-//! copy-on-write view before each read, the incremental engine patches
-//! its long-lived snapshot with journaled deltas. The string tier needs
-//! no guard at all. Memory is bounded by the distinct-value count, not
-//! the cell count — see `DESIGN.md` §5e.
+//! copy-on-write view before a read that follows an entity write (it
+//! reads only the candidate tier, which depends only on labels) and once
+//! at its end, the incremental engine patches its long-lived snapshot
+//! with journaled deltas. The string tier needs no guard at all. Memory
+//! is bounded by the distinct-value count, not the cell count — see
+//! `DESIGN.md` §5e.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -83,6 +85,10 @@ pub struct PairRels {
 pub struct TableResolution {
     /// `Kb::version` at build time; KB tiers are valid while it holds.
     kb_version: u64,
+    /// `Kb::num_entities` when the candidate tier was last made current.
+    /// Candidates depend only on labels, and only a new entity adds one,
+    /// so that tier stays valid while this holds.
+    candidates_entities: usize,
     /// `cells[col][row]` → distinct-value id (None for null cells).
     cells: Vec<Vec<Option<u32>>>,
     values: Vec<ResolvedValue>,
@@ -176,6 +182,7 @@ impl TableResolution {
 
         TableResolution {
             kb_version: kb.version(),
+            candidates_entities: kb.num_entities(),
             cells,
             values,
             by_norm,
@@ -228,6 +235,13 @@ impl TableResolution {
     /// landed since the snapshot was built or last patched.
     pub fn is_current(&self, kb: &Kb) -> bool {
         kb.version() == self.kb_version
+    }
+
+    /// True while the candidate tier reflects `kb`: no entity has been
+    /// added since the snapshot was built or last patched. Type and fact
+    /// writes leave it current.
+    pub(crate) fn candidates_current(&self, kb: &Kb) -> bool {
+        kb.num_entities() == self.candidates_entities
     }
 
     /// Number of distinct normalized values across the table.
@@ -306,7 +320,8 @@ impl TableResolution {
     }
 
     /// KB tier: `Kb::candidate_resources` of cell `(col, row)`; `None`
-    /// for null cells. The snapshot must be current for `kb`.
+    /// for null cells. The candidate tier must be current for `kb`: no
+    /// entity added since the snapshot was built or last patched.
     pub fn candidates(&self, kb: &Kb, col: usize, row: usize) -> Option<&[(ResourceId, f64)]> {
         let id = self.value_id(col, row)?;
         Some(self.candidates_of(kb, id))
@@ -314,7 +329,10 @@ impl TableResolution {
 
     /// [`Self::candidates`] by distinct-value id.
     pub fn candidates_of(&self, kb: &Kb, id: u32) -> &[(ResourceId, f64)] {
-        debug_assert!(self.is_current(kb), "candidates read from a stale snapshot");
+        debug_assert!(
+            self.candidates_current(kb),
+            "candidates read from a stale snapshot"
+        );
         self.recorder.incr(Counter::ResolveCandidatesLookups);
         self.recorder.incr(Counter::ResolveCandidatesHit);
         &self.values[id as usize].candidates
@@ -355,12 +373,6 @@ impl TableResolution {
     // session patches journaled KB deltas via [`Self::apply_enrichment`]
     // before touching cells, so the cached tiers it extends are never
     // stale.
-
-    /// Swap in a recorder without republishing build-time gauges — delta
-    /// runs re-attach their session recorder to a long-lived snapshot.
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder;
-    }
 
     /// Occurrence count of a distinct-value id (0 for evicted ids).
     pub fn refcount(&self, id: u32) -> usize {
@@ -644,6 +656,7 @@ impl TableResolution {
         }
 
         self.kb_version = kb.version();
+        self.candidates_entities = kb.num_entities();
         self.recorder.incr_by(
             Counter::ResolveValuesRepatched,
             dirty.len() as u64 + retyped,

@@ -24,7 +24,6 @@
 use std::collections::HashMap;
 
 use katara_crowd::{Answer, AskOutcome, Crowd, Oracle, Question};
-use katara_exec::Deadline;
 use katara_kb::Kb;
 use katara_table::Table;
 use rand::rngs::StdRng;
@@ -50,11 +49,6 @@ pub struct ValidationConfig {
     pub tuples_per_question: usize,
     /// Seed for tuple sampling.
     pub seed: u64,
-    /// Cooperative cancellation: checked at the top of the scheduler
-    /// loop. On expiry validation stops like a budget death — the best
-    /// pattern so far is returned flagged as partially validated. Inert
-    /// by default; the pipeline injects its run deadline here.
-    pub deadline: Deadline,
 }
 
 impl Default for ValidationConfig {
@@ -63,7 +57,6 @@ impl Default for ValidationConfig {
             questions_per_variable: 5,
             tuples_per_question: 5,
             seed: 0,
-            deadline: Deadline::none(),
         }
     }
 }
@@ -166,7 +159,10 @@ fn variable_entropy(patterns: &[TablePattern], probs: &[f64], v: VarKey) -> f64 
 /// Validate the given patterns and return the survivor.
 ///
 /// `patterns` must be non-empty; single-element input returns immediately
-/// with zero questions.
+/// with zero questions. The crowd's deadline ([`Crowd::deadline`]) is
+/// checked at the top of the scheduler loop: on expiry validation stops
+/// like a budget death, returning the best pattern so far flagged as
+/// partially validated.
 pub fn validate_patterns<O: Oracle>(
     table: &Table,
     kb: &Kb,
@@ -198,7 +194,7 @@ pub fn validate_patterns<O: Oracle>(
         if done {
             break;
         }
-        if crowd.is_budget_exhausted() || config.deadline.expired() {
+        if crowd.is_budget_exhausted() || crowd.deadline().expired() {
             // Degrade gracefully: stop scheduling and return the best
             // pattern seen so far, flagged as partially validated.
             fully_validated = false;

@@ -558,13 +558,6 @@ impl<O: Oracle> Crowd<O> {
         Some(Answer::from_slot(slot, num_candidates, is_bool))
     }
 
-    /// Ask the same question `times` times (the paper asks `q` questions
-    /// per variable with different sample tuples; the *caller* varies the
-    /// samples) and return the per-ask outcomes.
-    pub fn ask_repeated(&mut self, questions: &[Question]) -> Vec<AskOutcome> {
-        questions.iter().map(|q| self.ask(q)).collect()
-    }
-
     /// Accumulated cost statistics.
     pub fn stats(&self) -> &CrowdStats {
         &self.stats
@@ -594,11 +587,6 @@ impl<O: Oracle> Crowd<O> {
         self.budget_state.exhausted
     }
 
-    /// The fault plan this crowd was built with.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// The configured aggregation mode.
     pub fn aggregation(&self) -> AggregationMode {
         self.aggregation
@@ -608,11 +596,6 @@ impl<O: Oracle> Crowd<O> {
     /// plurality, where no quality state exists.
     pub fn worker_quality(&self, worker: usize) -> Option<f64> {
         self.quality.as_ref().map(|ds| ds.quality(worker))
-    }
-
-    /// The Dawid–Skene aggregator state (`None` under plurality).
-    pub fn quality_model(&self) -> Option<&DawidSkene> {
-        self.quality.as_ref()
     }
 
     /// Install a cooperative deadline: once it expires, every further

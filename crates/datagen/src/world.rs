@@ -125,30 +125,6 @@ impl WorldConfig {
             seed: 0x5EED,
         }
     }
-
-    /// A large configuration for benchmarking: ~50–60× the entity count
-    /// of [`tiny`](Self::tiny), big enough that cell→KB resolution (the
-    /// label-index probes) dominates a cleaning run's wall time.
-    pub fn bench_large() -> Self {
-        WorldConfig {
-            countries: 120,
-            cities_per_country: 8,
-            players: 6000,
-            clubs: 240,
-            leagues: 20,
-            states: 60,
-            cities_per_state: 6,
-            universities: 3000,
-            languages: 60,
-            continents: 6,
-            club_city_homonym_rate: 0.3,
-            star_fraction: 0.25,
-            extra_persons: 4000,
-            extra_places: 4500,
-            extra_orgs: 1200,
-            seed: 0x5EED,
-        }
-    }
 }
 
 /// A country: name, capital (city index), language, continent.

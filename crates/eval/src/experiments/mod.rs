@@ -204,7 +204,6 @@ pub fn validation_series(
                         questions_per_variable: q,
                         tuples_per_question: 5,
                         seed: ti as u64,
-                        ..ValidationConfig::default()
                     },
                     SchedulingStrategy::Muvf,
                 );

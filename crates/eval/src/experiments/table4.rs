@@ -57,7 +57,6 @@ pub fn run(corpus: &Corpus) -> Table4 {
                             questions_per_variable: 3,
                             tuples_per_question: 5,
                             seed: ti as u64,
-                            ..ValidationConfig::default()
                         },
                         strategy,
                     );

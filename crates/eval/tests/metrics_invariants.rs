@@ -25,7 +25,7 @@ use katara_crowd::{Answer, Budget, Crowd, CrowdConfig, Oracle, Question};
 use katara_datagen::KbFlavor;
 use katara_eval::corpus::{Corpus, CorpusConfig};
 use katara_eval::experiments::crowd_for;
-use katara_kb::{sim, Kb, KbBuilder};
+use katara_kb::{sim, Kb, KbBuilder, ResourceId};
 use katara_table::{Table, Value};
 
 /// The paper's Figure 1 setting in miniature: soccer players with one
@@ -277,10 +277,13 @@ fn label_search_counts_one_fuzzy_lookup_per_unlabelled_value() {
 
 #[test]
 fn type_writes_repeat_no_label_search() {
-    // Annotation patches its snapshot after every enrichment write. A
-    // type write moves no label, so it must not send a value back
-    // through the label search: University's enrichment writes types
-    // but creates no entity, so enrichment on and off search alike.
+    // A type write moves no label, so it must not send a value back
+    // through the label search. Annotation reads only candidates, so
+    // without an entity write it patches its snapshot once, at the end
+    // of the run, not after every write: each value is counted once in
+    // `resolve.values_repatched`, by re-typing it when its candidates
+    // name a resource the run typed. University's enrichment writes
+    // types and facts but creates no entity.
     let corpus = Corpus::build(&CorpusConfig::small());
     let g = &corpus.university;
     for flavor in [KbFlavor::YagoLike, KbFlavor::DbpediaLike] {
@@ -296,19 +299,41 @@ fn type_writes_repeat_no_label_search() {
                 ..KataraConfig::default()
             };
             let mut crowd = crowd_for(&corpus, g, flavor, 1.0, 0xC0FFEE);
-            Katara::new(config)
+            let report = Katara::new(config)
                 .clean(&g.table, &mut kb, &mut crowd)
                 .expect("corpus clean succeeds");
-            rec.snapshot()
+            (rec.snapshot(), report)
         };
-        let (on, off) = (run(true), run(false));
-        assert!(
-            on.counter("resolve.values_repatched") > 0,
-            "{flavor:?}: enrichment patched no value"
-        );
+        let ((on, report), (off, _)) = (run(true), run(false));
         assert_eq!(
             on.counter("kb.label_fuzzy_lookups"),
             off.counter("kb.label_fuzzy_lookups"),
+            "{flavor:?}"
+        );
+        assert!(on.counter("annotation.enriched_facts") > 0, "{flavor:?}");
+        assert_eq!(on.counter("annotation.enriched_entities"), 0, "{flavor:?}");
+
+        let kb = corpus.kb(flavor);
+        let typed: HashSet<ResourceId> = report
+            .enrichment()
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                DeltaOp::Type { resource, .. } => kb.resolve_resource_name(resource),
+                _ => None,
+            })
+            .collect();
+        let snapshot = TableResolution::build(&g.table, &kb, CandidateConfig::default().max_rows);
+        let retyped = (0..snapshot.num_values() as u32)
+            .filter(|&id| {
+                let cands = snapshot.candidates_of(&kb, id);
+                cands.iter().any(|(r, _)| typed.contains(r))
+            })
+            .count() as u64;
+        assert!(retyped > 0, "{flavor:?}: the run typed no candidate");
+        assert_eq!(
+            on.counter("resolve.values_repatched"),
+            retyped,
             "{flavor:?}"
         );
     }

@@ -60,11 +60,6 @@ impl CoherenceTable {
         self.sub.len()
     }
 
-    /// Number of stored (type, property) object-position entries.
-    pub fn len_obj(&self) -> usize {
-        self.obj.len()
-    }
-
     /// Build the table.
     ///
     /// * `n` — total entity count `N`;

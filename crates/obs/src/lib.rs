@@ -34,8 +34,10 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::ThreadId;
 use std::time::Instant;
 
 macro_rules! metric_enum {
@@ -301,15 +303,25 @@ struct SpanRecord {
     dur_ns: Option<u64>,
 }
 
+/// Most spans a [`RunRecorder`] keeps. A CLI or bench run records a few
+/// dozen; a daemon records every request into one recorder, so its log
+/// keeps only the most recent spans.
+const SPAN_CAP: usize = 4096;
+
 #[derive(Default)]
 struct SpanLog {
-    records: Vec<SpanRecord>,
-    stack: Vec<usize>,
+    /// The most recent spans, at most [`SPAN_CAP`], in enter order.
+    records: VecDeque<SpanRecord>,
+    /// How many spans were evicted: the token of `records[0]`.
+    evicted: usize,
+    /// Open-span tokens per entering thread, so concurrent requests nest
+    /// separately; a thread's stack is dropped when it empties.
+    stacks: HashMap<ThreadId, Vec<usize>>,
 }
 
 /// The live recorder: sharded atomic counters, gauges, histograms, and a
-/// hierarchical span log, snapshotted into a [`RunMetrics`] at the end of
-/// a run.
+/// hierarchical log of the most recent spans, snapshotted into a
+/// [`RunMetrics`] at the end of a run.
 pub struct RunRecorder {
     shards: Vec<Shard>,
     gauges: [GaugeCell; Gauge::COUNT],
@@ -449,28 +461,43 @@ impl Recorder for RunRecorder {
 
     fn span_enter(&self, name: &'static str) -> usize {
         let start_ns = self.now_ns();
-        let mut log = self.span_log();
-        let token = log.records.len();
-        let depth = log.stack.len();
-        log.records.push(SpanRecord {
+        let mut guard = self.span_log();
+        let log = &mut *guard;
+        let token = log.evicted + log.records.len();
+        let stack = log.stacks.entry(std::thread::current().id()).or_default();
+        log.records.push_back(SpanRecord {
             name,
-            depth,
+            depth: stack.len(),
             start_ns,
             dur_ns: None,
         });
-        log.stack.push(token);
+        stack.push(token);
+        if log.records.len() > SPAN_CAP {
+            log.records.pop_front();
+            log.evicted += 1;
+        }
         token
     }
 
     fn span_exit(&self, token: usize) {
         let now = self.now_ns();
-        let mut log = self.span_log();
-        if let Some(pos) = log.stack.iter().rposition(|&t| t == token) {
-            // Closing a span implicitly closes anything still open below
-            // it (defensive — guards normally drop in LIFO order).
-            log.stack.truncate(pos);
+        let mut guard = self.span_log();
+        let log = &mut *guard;
+        let thread = std::thread::current().id();
+        if let Some(stack) = log.stacks.get_mut(&thread) {
+            if let Some(pos) = stack.iter().rposition(|&t| t == token) {
+                // Closing a span implicitly closes anything still open
+                // below it (defensive — guards normally drop in LIFO
+                // order).
+                stack.truncate(pos);
+            }
+            if stack.is_empty() {
+                log.stacks.remove(&thread);
+            }
         }
-        if let Some(rec) = log.records.get_mut(token) {
+        // An evicted span has nothing left to close.
+        let index = token.checked_sub(log.evicted);
+        if let Some(rec) = index.and_then(|i| log.records.get_mut(i)) {
             if rec.dur_ns.is_none() {
                 rec.dur_ns = Some(now.saturating_sub(rec.start_ns));
             }
@@ -682,6 +709,39 @@ mod tests {
         // Pre-order + LIFO drop: the parent's wall time covers the child's.
         assert!(m.spans[0].wall_ns >= m.spans[1].wall_ns);
         assert!(m.spans.iter().all(|s| s.wall_ns > 0));
+    }
+
+    #[test]
+    fn span_log_keeps_only_the_most_recent_spans() {
+        let rec = RunRecorder::new();
+        let first = Span::enter(&rec, "first");
+        for _ in 0..SPAN_CAP + 10 {
+            drop(Span::enter(&rec, "request"));
+        }
+        drop(first); // evicted: its exit records no wall time
+        let m = rec.snapshot();
+        assert_eq!(m.spans.len(), SPAN_CAP);
+        assert!(m.spans.iter().all(|s| s.name == "request" && s.depth == 1));
+        // The evicted span was still popped off its thread's stack.
+        drop(Span::enter(&rec, "after"));
+        assert_eq!(rec.snapshot().spans.last().map(|s| s.depth), Some(0));
+    }
+
+    #[test]
+    fn concurrent_threads_nest_spans_separately() {
+        let rec = &RunRecorder::new();
+        let both_open = &std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for name in ["a", "b"] {
+                scope.spawn(move || {
+                    let _span = Span::enter(rec, name);
+                    both_open.wait();
+                });
+            }
+        });
+        let m = rec.snapshot();
+        assert_eq!(m.spans.len(), 2);
+        assert!(m.spans.iter().all(|s| s.depth == 0), "{:?}", m.spans);
     }
 
     #[test]
