@@ -1,9 +1,10 @@
 //! Bench for the **cleaning daemon** (DESIGN.md §5g): end-to-end HTTP
 //! `POST /clean` requests against a live `katara-serve` instance, cold
 //! (`?snapshot=cold`, every request rebuilds the `TableResolution`) vs
-//! warm (the daemon's snapshot cache hits), at two concurrency levels.
+//! warm (the daemon's snapshot cache hits), at concurrency 1 and 2.
 //! Emits `BENCH_serve.json` at the workspace root with requests/s and
-//! p50/p99 latencies per batch (quick mode via `KATARA_BENCH_QUICK=1`).
+//! p50/p99 latencies per batch (quick mode via `KATARA_BENCH_QUICK=1`),
+//! and embeds the daemon's own metrics after its first `/clean`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -13,10 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use katara_bench::perf::{self, Field};
-use katara_bench::{resolve_crowd, resolve_fixture, ResolveFixture};
-use katara_core::annotation::AnnotationConfig;
-use katara_core::validation::ValidationConfig;
-use katara_core::{Katara, KataraConfig};
+use katara_bench::resolve_fixture;
 use katara_serve::{ServePolicy, Server, ServerConfig};
 
 /// Requests per measured batch.
@@ -28,14 +26,8 @@ fn batch_requests() -> usize {
     }
 }
 
-/// Concurrency levels to measure.
-fn concurrency_levels() -> Vec<usize> {
-    if perf::quick_mode() {
-        vec![1, 2]
-    } else {
-        vec![1, 4]
-    }
-}
+/// Concurrency levels to measure: the one or two cores a bench box has.
+const CONCURRENCY: [usize; 2] = [1, 2];
 
 /// One blocking HTTP request; returns (status, latency in ms).
 fn request(addr: SocketAddr, path: &str, body: &[u8]) -> (u16, f64) {
@@ -100,40 +92,6 @@ fn run_batch(
     (latencies, total_ms)
 }
 
-/// One untimed instrumented direct-pipeline run of the same workload,
-/// for the report's logical-work metrics (deterministic section).
-fn instrumented_metrics(fixture: &ResolveFixture) -> katara_obs::RunMetrics {
-    let rec = Arc::new(katara_obs::RunRecorder::new());
-    let config = KataraConfig {
-        annotation: AnnotationConfig {
-            enrich_kb: false,
-            ..AnnotationConfig::default()
-        },
-        validation: ValidationConfig {
-            questions_per_variable: 1,
-            ..ValidationConfig::default()
-        },
-        recorder: rec.clone(),
-        threads: katara_core::Threads::fixed(1),
-        candidates: katara_core::CandidateConfig {
-            threads: katara_core::Threads::fixed(1),
-            ..katara_core::CandidateConfig::default()
-        },
-        ..KataraConfig::default()
-    };
-    let katara = Katara::new(config);
-    let mut kb = fixture.kb.clone();
-    let mut crowd = resolve_crowd(fixture);
-    black_box(
-        katara
-            .clean(&fixture.table.table, &mut kb, &mut crowd)
-            .expect("instrumented clean"),
-    );
-    let mut metrics = rec.snapshot();
-    metrics.threads = 1;
-    metrics
-}
-
 /// Cold vs warm daemon requests at two concurrency levels. The Criterion
 /// group gives the interactive view; the [`perf::Report`] gives the
 /// machine-readable artifact.
@@ -147,22 +105,23 @@ fn bench_serve(c: &mut Criterion) {
         body.len()
     );
 
-    let server = Server::bind(
-        ServerConfig {
-            max_in_flight: 16,
-            ..ServerConfig::default()
-        },
-        fixture.kb.clone(),
-        ServePolicy::Trust,
-    )
-    .expect("bind");
+    let config = ServerConfig {
+        max_in_flight: 16,
+        ..ServerConfig::default()
+    };
+    let threads = config.threads.get();
+    let server = Server::bind(config, fixture.kb.clone(), ServePolicy::Trust).expect("bind");
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.run().expect("server run"));
 
-    // Populate the warm cache before any warm measurement.
+    // Populate the warm cache before any warm measurement. The report
+    // embeds what the daemon recorded for this one request: a snapshot
+    // build plus a clean with enrichment, as every cold request does.
     let (status, _) = request(addr, "/clean", &body);
     assert!(status == 200 || status == 206, "warmup failed: {status}");
+    let mut metrics = handle.metrics();
+    metrics.threads = threads;
 
     let mut group = c.benchmark_group("serve");
     group.sample_size(10);
@@ -176,7 +135,7 @@ fn bench_serve(c: &mut Criterion) {
 
     let mut report = perf::Report::new("serve", &fixture.name);
     let n = batch_requests();
-    for concurrency in concurrency_levels() {
+    for concurrency in CONCURRENCY {
         for (config, path) in [("cold", "/clean?snapshot=cold"), ("warm", "/clean")] {
             let (lat, wall) = run_batch(addr, path, &body, n, concurrency);
             let (req_per_s, p50_ms, p99_ms) = perf::batch_rates(&lat, wall);
@@ -190,7 +149,7 @@ fn bench_serve(c: &mut Criterion) {
             ]);
         }
     }
-    report.metrics = Some(instrumented_metrics(&fixture));
+    report.metrics = Some(metrics);
     let path = report.write().expect("write BENCH_serve.json");
     eprintln!("serve report: {}", path.display());
 

@@ -3,12 +3,14 @@
 //! [`KbBuilder`] accumulates schema (classes, properties, hierarchies) and
 //! data (entities, facts); [`KbBuilder::finalize`] freezes everything,
 //! rebuilds the hierarchy closures, derives the type closure and ENT sets,
-//! and precomputes the coherence table.
+//! and precomputes the coherence table. Each frozen arena is moved behind
+//! an `Arc` that every clone of the [`Kb`] shares.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::coherence::CoherenceTable;
-use crate::columnar::{CsrRows, NormIndex, PairCsr};
+use crate::columnar::{CsrRows, NormIndex, PairCsr, SharedVec};
 use crate::error::KbError;
 use crate::ids::{ClassId, LiteralId, PropertyId, ResourceId};
 use crate::ingest::{BrokenEdge, KbAudit, LabelCollision};
@@ -262,6 +264,7 @@ impl KbBuilder {
         for (ri, label) in self.labels.iter().enumerate() {
             label_index.insert(label, ResourceId::from_index(ri));
         }
+        let label_index = label_index.freeze();
 
         // Fact indexes.
         let mut out_edges: Vec<Vec<(PropertyId, Object)>> = vec![Vec::new(); n];
@@ -340,15 +343,15 @@ impl KbBuilder {
 
         Kb {
             name: self.name,
-            resources: self.resources,
-            classes: self.classes,
-            props: self.props,
-            literals: self.literals,
-            labels: self.labels,
+            resources: self.resources.freeze(),
+            classes: self.classes.freeze(),
+            props: self.props.freeze(),
+            literals: self.literals.freeze(),
+            labels: SharedVec::new(self.labels),
             label_index,
-            class_hier: self.class_hier,
-            prop_hier: self.prop_hier,
-            direct_types: self.direct_types,
+            class_hier: Arc::new(self.class_hier),
+            prop_hier: Arc::new(self.prop_hier),
+            direct_types: CsrRows::from_rows(&self.direct_types),
             types_closure: CsrRows::from_rows(&types_closure),
             class_entities: CsrRows::from_rows(&class_entities),
             out_edges: CsrRows::from_rows(&out_edges),
@@ -358,7 +361,7 @@ impl KbBuilder {
             prop_subjects: CsrRows::from_rows(&prop_subjects),
             prop_objects: CsrRows::from_rows(&prop_objects),
             literal_norm: NormIndex::from_sorted(norms),
-            coherence,
+            coherence: Arc::new(coherence),
             sim_threshold: self.sim_threshold,
             fact_count,
             version: 0,

@@ -16,13 +16,20 @@
 //!   adjacency run — no hashing, no per-key allocation.
 //! * [`NormIndex`] — the normalized-literal dictionary as a sorted key
 //!   arena with CSR payload.
+//! * [`SharedVec`] — a dense per-id column (resource labels) that
+//!   enrichment only appends to.
 //!
-//! Every structure carries a copy-on-write *overlay* so §6.1 enrichment
-//! writes stay possible after finalize: a mutated row/key is shadowed by a
-//! full private copy, base arenas are never touched. Read paths check the
-//! (tiny, usually empty) overlay first, so query results keep their
-//! first-assertion order. A write that would not change the row or key
-//! (re-asserting what it already holds) leaves it unshadowed.
+//! Every base arena sits behind an `Arc`, so cloning a store shares it
+//! instead of copying it, and every structure carries a copy-on-write
+//! *overlay* so §6.1 enrichment writes stay possible after finalize: a
+//! mutated row/key is shadowed by a full private copy, base arenas are
+//! never touched. A clone therefore costs the size of its overlays. Read
+//! paths check the (tiny, usually empty) overlay first, so query results
+//! keep their first-assertion order. A write that would not change the
+//! row or key (re-asserting what it already holds) leaves it unshadowed.
+
+use std::ops::Index;
+use std::sync::Arc;
 
 use crate::ids::{LiteralId, PropertyId, ResourceId};
 
@@ -31,13 +38,20 @@ use crate::ids::{LiteralId, PropertyId, ResourceId};
 /// Rows at indexes past the base arena (entities added by enrichment) are
 /// implicitly empty until written, at which point they live entirely in
 /// the overlay.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct CsrRows<T> {
-    off: Vec<u32>,
-    data: Vec<T>,
+    /// The packed rows, shared by every clone.
+    base: Arc<Csr<T>>,
     /// Shadow rows, sorted by row index. A present entry REPLACES the base
     /// row (it starts as a copy of it).
     overlay: Vec<(u32, Vec<T>)>,
+}
+
+/// The packed base of [`CsrRows`]: row `i` is `data[off[i]..off[i+1]]`.
+#[derive(Debug)]
+struct Csr<T> {
+    off: Vec<u32>,
+    data: Vec<T>,
 }
 
 impl<T: Copy> CsrRows<T> {
@@ -51,8 +65,7 @@ impl<T: Copy> CsrRows<T> {
             off.push(u32::try_from(data.len()).expect("CSR arena exceeds u32 offsets"));
         }
         CsrRows {
-            off,
-            data,
+            base: Arc::new(Csr { off, data }),
             overlay: Vec::new(),
         }
     }
@@ -67,8 +80,9 @@ impl<T: Copy> CsrRows<T> {
 
     /// Row `i` of the base arena (empty past it).
     fn base_row(&self, i: usize) -> &[T] {
-        if i + 1 < self.off.len() {
-            &self.data[self.off[i] as usize..self.off[i + 1] as usize]
+        let Csr { off, data } = &*self.base;
+        if i + 1 < off.len() {
+            &data[off[i] as usize..off[i + 1] as usize]
         } else {
             &[]
         }
@@ -118,13 +132,27 @@ impl<T: Copy> CsrRows<T> {
         };
         &mut self.overlay[k].1
     }
+
+    #[cfg(test)]
+    pub(crate) fn shares_base(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
 }
 
 /// The SPO permutation of the fact triples, generic over the object column
 /// (`ResourceId` for resource facts, `LiteralId` for literal facts), with
 /// a copy-on-write overlay keyed by `(subject, object)`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct PairCsr<B> {
+    /// The packed permutation, shared by every clone.
+    base: Arc<Pairs<B>>,
+    /// Shadow keys, sorted. A present entry replaces the base key's props.
+    overlay: Vec<((ResourceId, B), Vec<PropertyId>)>,
+}
+
+/// The packed base of [`PairCsr`].
+#[derive(Debug)]
+struct Pairs<B> {
     /// Subject-major offsets into `objs`: subject `s`'s adjacency run is
     /// `objs[off[s] .. off[s+1]]`, sorted by object id.
     off: Vec<u32>,
@@ -133,8 +161,6 @@ pub(crate) struct PairCsr<B> {
     prop_off: Vec<u32>,
     /// Properties per key in first-assertion order.
     props: Vec<PropertyId>,
-    /// Shadow keys, sorted. A present entry replaces the base key's props.
-    overlay: Vec<((ResourceId, B), Vec<PropertyId>)>,
 }
 
 impl<B: Copy + Ord> PairCsr<B> {
@@ -160,10 +186,12 @@ impl<B: Copy + Ord> PairCsr<B> {
             off[i] += off[i - 1];
         }
         PairCsr {
-            off,
-            objs,
-            prop_off,
-            props,
+            base: Arc::new(Pairs {
+                off,
+                objs,
+                prop_off,
+                props,
+            }),
             overlay: Vec::new(),
         }
     }
@@ -179,11 +207,12 @@ impl<B: Copy + Ord> PairCsr<B> {
     /// Subject `s`'s base adjacency run (objects sorted ascending) and the
     /// arena index of its first entry.
     pub(crate) fn adjacency(&self, s: ResourceId) -> (&[B], usize) {
+        let Pairs { off, objs, .. } = &*self.base;
         let i = s.index();
-        if i + 1 < self.off.len() {
-            let lo = self.off[i] as usize;
-            let hi = self.off[i + 1] as usize;
-            (&self.objs[lo..hi], lo)
+        if i + 1 < off.len() {
+            let lo = off[i] as usize;
+            let hi = off[i + 1] as usize;
+            (&objs[lo..hi], lo)
         } else {
             (&[], 0)
         }
@@ -191,7 +220,10 @@ impl<B: Copy + Ord> PairCsr<B> {
 
     /// The property slice of arena entry `k`.
     pub(crate) fn props_at(&self, k: usize) -> &[PropertyId] {
-        &self.props[self.prop_off[k] as usize..self.prop_off[k + 1] as usize]
+        let Pairs {
+            prop_off, props, ..
+        } = &*self.base;
+        &props[prop_off[k] as usize..prop_off[k + 1] as usize]
     }
 
     /// Idempotently assert `p` for key `(s, b)`, shadowing the base entry
@@ -219,17 +251,30 @@ impl<B: Copy + Ord> PairCsr<B> {
             Err(_) => &[],
         }
     }
+
+    #[cfg(test)]
+    pub(crate) fn shares_base(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
 }
 
 /// The normalized-literal dictionary: sorted normalized spellings with a
 /// CSR run of the literal ids spelling each of them, plus an overlay for
 /// normalizations first seen during enrichment.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct NormIndex {
+    /// The packed dictionary, shared by every clone.
+    base: Arc<Norms>,
+    overlay: Vec<(Box<str>, Vec<LiteralId>)>,
+}
+
+/// The packed base of [`NormIndex`]: key `i` is spelled by
+/// `lids[off[i]..off[i+1]]`.
+#[derive(Debug)]
+struct Norms {
     keys: Vec<Box<str>>,
     off: Vec<u32>,
     lids: Vec<LiteralId>,
-    overlay: Vec<(Box<str>, Vec<LiteralId>)>,
 }
 
 impl NormIndex {
@@ -246,9 +291,7 @@ impl NormIndex {
             off.push(u32::try_from(lids.len()).expect("literal arena exceeds u32"));
         }
         NormIndex {
-            keys,
-            off,
-            lids,
+            base: Arc::new(Norms { keys, off, lids }),
             overlay: Vec::new(),
         }
     }
@@ -258,8 +301,9 @@ impl NormIndex {
         if let Ok(k) = self.overlay.binary_search_by(|(key, _)| (**key).cmp(norm)) {
             return &self.overlay[k].1;
         }
-        match self.keys.binary_search_by(|key| (**key).cmp(norm)) {
-            Ok(i) => &self.lids[self.off[i] as usize..self.off[i + 1] as usize],
+        let Norms { keys, off, lids } = &*self.base;
+        match keys.binary_search_by(|key| (**key).cmp(norm)) {
+            Ok(i) => &lids[off[i] as usize..off[i + 1] as usize],
             Err(_) => &[],
         }
     }
@@ -273,16 +317,61 @@ impl NormIndex {
         let k = match self.overlay.binary_search_by(|(key, _)| (**key).cmp(norm)) {
             Ok(k) => k,
             Err(k) => {
-                let base: Vec<LiteralId> = match self.keys.binary_search_by(|key| (**key).cmp(norm))
-                {
-                    Ok(i) => self.lids[self.off[i] as usize..self.off[i + 1] as usize].to_vec(),
-                    Err(_) => Vec::new(),
-                };
+                // Not shadowed yet, so `get` reads the base's run.
+                let base = self.get(norm).to_vec();
                 self.overlay.insert(k, (Box::from(norm), base));
                 k
             }
         };
         self.overlay[k].1.push(lid);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn shares_base(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
+}
+
+/// A dense per-id column that enrichment only appends to: the elements
+/// packed at finalize, shared by every clone, then the ones this clone
+/// appended since.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedVec<T> {
+    base: Arc<Vec<T>>,
+    added: Vec<T>,
+}
+
+impl<T> SharedVec<T> {
+    /// Share `base` (moved, not copied).
+    pub(crate) fn new(base: Vec<T>) -> Self {
+        SharedVec {
+            base: Arc::new(base),
+            added: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.base.len() + self.added.len()
+    }
+
+    pub(crate) fn push(&mut self, x: T) {
+        self.added.push(x);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn shares_base(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
+}
+
+impl<T> Index<usize> for SharedVec<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        match i.checked_sub(self.base.len()) {
+            None => &self.base[i],
+            Some(j) => &self.added[j],
+        }
     }
 }
 

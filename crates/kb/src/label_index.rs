@@ -31,6 +31,7 @@
 
 use std::collections::HashMap;
 use std::ops::AddAssign;
+use std::sync::Arc;
 
 use crate::ids::ResourceId;
 use crate::sim;
@@ -78,11 +79,34 @@ struct SlotLabel {
 }
 
 /// An inverted index from labels to resources.
+///
+/// A finalized store's index is frozen: the labels inserted while building
+/// sit behind an `Arc` that every clone shares. Labels first inserted
+/// later (enrichment) get slots numbered after the base's in a small
+/// per-clone part, whose posting lists are scanned after the base's, and a
+/// new homonym of a base label shadows that slot's resource list. Slot
+/// order, and with it every tie-break and score, is what an index built
+/// with all the labels from scratch would have.
 #[derive(Debug, Default, Clone)]
 pub struct LabelIndex {
+    /// The slots frozen at finalize, shared by every clone.
+    base: Arc<Slots>,
+    /// Slots for labels first inserted since, numbered from the base's
+    /// length.
+    added: Slots,
+    /// Base slots that gained a resource since: the slot's full resource
+    /// list, sorted by slot. A present entry replaces the base's list.
+    shadowed: Vec<(u32, Vec<ResourceId>)>,
+}
+
+/// One part of a [`LabelIndex`]: a run of consecutively numbered slots.
+#[derive(Debug, Default, Clone)]
+struct Slots {
+    /// The number of this part's first slot.
+    first: u32,
     /// Per slot, every resource carrying that slot's label (homonyms:
     /// `Rossi` the player and `Rossi` the racer).
-    slots: Vec<Vec<ResourceId>>,
+    resources: Vec<Vec<ResourceId>>,
     /// The distinct normalized labels, concatenated in slot order.
     arena: String,
     /// Per slot, its label's place in `arena` and its sizes.
@@ -90,6 +114,32 @@ pub struct LabelIndex {
     slot_of: HashMap<String, u32>,
     /// trigram -> slots containing it, ascending.
     grams: HashMap<[char; 3], Vec<u32>>,
+}
+
+impl Slots {
+    /// Open a slot for `norm`, which no slot of the index holds yet.
+    fn push(&mut self, norm: String) -> u32 {
+        let s = self.first + u32::try_from(self.labels.len()).expect("label slots exhausted");
+        let grams = sim::sorted_trigrams(&norm);
+        for &g in &grams {
+            self.grams.entry(g).or_default().push(s);
+        }
+        self.arena.push_str(&norm);
+        self.labels.push(SlotLabel {
+            end: self.arena.len(),
+            chars: norm.chars().count(),
+            grams: grams.len(),
+        });
+        self.resources.push(Vec::new());
+        self.slot_of.insert(norm, s);
+        s
+    }
+
+    /// The normalized label of this part's `i`-th slot.
+    fn label(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |prev| self.labels[prev].end);
+        &self.arena[start..self.labels[i].end]
+    }
 }
 
 impl LabelIndex {
@@ -100,46 +150,79 @@ impl LabelIndex {
 
     /// Number of distinct labels.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.base.labels.len() + self.added.labels.len()
     }
 
     /// True if no label has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     /// Associate `label` (raw; normalized internally) with `resource`.
     pub fn insert(&mut self, label: &str, resource: ResourceId) {
         let norm = sim::normalize(label);
-        let slot = match self.slot_of.get(&norm) {
-            Some(&s) => s,
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("label slots exhausted");
-                let grams = sim::sorted_trigrams(&norm);
-                for &g in &grams {
-                    self.grams.entry(g).or_default().push(s);
+        let resources = if let Some(&s) = self.base.slot_of.get(&norm) {
+            let k = match self.shadowed.binary_search_by_key(&s, |&(slot, _)| slot) {
+                Ok(k) => k,
+                Err(k) => {
+                    let base = &self.base.resources[s as usize];
+                    if base.contains(&resource) {
+                        return;
+                    }
+                    self.shadowed.insert(k, (s, base.clone()));
+                    k
                 }
-                self.arena.push_str(&norm);
-                self.labels.push(SlotLabel {
-                    end: self.arena.len(),
-                    chars: norm.chars().count(),
-                    grams: grams.len(),
-                });
-                self.slots.push(Vec::new());
-                self.slot_of.insert(norm, s);
-                s
-            }
+            };
+            &mut self.shadowed[k].1
+        } else {
+            let s = match self.added.slot_of.get(&norm) {
+                Some(&s) => s,
+                None => self.added.push(norm),
+            };
+            &mut self.added.resources[(s - self.added.first) as usize]
         };
-        let resources = &mut self.slots[slot as usize];
         if !resources.contains(&resource) {
             resources.push(resource);
         }
     }
 
-    /// The normalized label of `slot`.
-    fn label(&self, slot: usize) -> &str {
-        let start = slot.checked_sub(1).map_or(0, |prev| self.labels[prev].end);
-        &self.arena[start..self.labels[slot].end]
+    /// Freeze a builder's index: every slot so far moves (uncopied) behind
+    /// the shared `Arc`. The base must still be empty.
+    pub(crate) fn freeze(self) -> Self {
+        debug_assert!(self.base.labels.is_empty(), "a label index freezes once");
+        let first = u32::try_from(self.added.labels.len()).expect("label slots exhausted");
+        LabelIndex {
+            base: Arc::new(self.added),
+            added: Slots {
+                first,
+                ..Slots::default()
+            },
+            shadowed: Vec::new(),
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn shares_base(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
+
+    /// The part holding `slot`, and the slot's index within it.
+    fn part(&self, slot: u32) -> (&Slots, usize) {
+        match slot.checked_sub(self.added.first) {
+            Some(i) => (&self.added, i as usize),
+            None => (&self.base, slot as usize),
+        }
+    }
+
+    /// The resources carrying `slot`'s label.
+    fn resources(&self, slot: u32) -> &[ResourceId] {
+        if slot < self.added.first {
+            if let Ok(k) = self.shadowed.binary_search_by_key(&slot, |&(s, _)| s) {
+                return &self.shadowed[k].1;
+            }
+        }
+        let (part, i) = self.part(slot);
+        &part.resources[i]
     }
 
     /// Resources whose normalized label equals `normalize(query)` exactly.
@@ -152,8 +235,13 @@ impl LabelIndex {
     /// normalization. The snapshot layer normalizes each distinct cell
     /// value once and probes through this entry point.
     pub fn exact_normalized(&self, norm: &str) -> &[ResourceId] {
-        match self.slot_of.get(norm) {
-            Some(&s) => &self.slots[s as usize],
+        match self
+            .base
+            .slot_of
+            .get(norm)
+            .or_else(|| self.added.slot_of.get(norm))
+        {
+            Some(&s) => self.resources(s),
             None => &[],
         }
     }
@@ -195,7 +283,7 @@ impl LabelIndex {
         hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut out = Vec::new();
         for (slot, score) in hits {
-            for &r in &self.slots[slot as usize] {
+            for &r in self.resources(slot) {
                 out.push(LabelMatch { resource: r, score });
             }
         }
@@ -215,19 +303,23 @@ impl LabelIndex {
             fuzzy_lookups: 1,
             ..LabelSearchStats::default()
         };
-        let mut shared = vec![C::default(); self.slots.len()];
+        let mut shared = vec![C::default(); self.len()];
         let mut touched: Vec<u32> = Vec::new();
         for g in qgrams {
-            let Some(posting) = self.grams.get(g) else {
-                continue;
-            };
-            stats.postings_scanned += posting.len() as u64;
-            for &s in posting {
-                let count = &mut shared[s as usize];
-                if count.get() == 0 {
-                    touched.push(s);
+            // The added slots' postings follow the base's, as one list
+            // of an index built from scratch would.
+            for part in [&*self.base, &self.added] {
+                let Some(posting) = part.grams.get(g) else {
+                    continue;
+                };
+                stats.postings_scanned += posting.len() as u64;
+                for &s in posting {
+                    let count = &mut shared[s as usize];
+                    if count.get() == 0 {
+                        touched.push(s);
+                    }
+                    count.bump();
                 }
-                count.bump();
             }
         }
 
@@ -244,11 +336,12 @@ impl LabelIndex {
             if inter < min_shared {
                 continue;
             }
-            let meta = self.labels[s as usize];
+            let (part, i) = self.part(s);
+            let meta = part.labels[i];
             let jaccard = inter as f64 / (q_grams + meta.grams - inter) as f64;
             let max_len = q_chars.max(meta.chars);
             // Equal gram sets are necessary for equal strings, and cheap.
-            let equal = inter == q_grams && meta.grams == q_grams && self.label(s as usize) == norm;
+            let equal = inter == q_grams && meta.grams == q_grams && part.label(i) == norm;
             let score = if equal {
                 1.0
             } else {
@@ -266,7 +359,7 @@ impl LabelIndex {
                     jaccard
                 } else {
                     stats.candidates_scored += 1;
-                    let label = self.label(s as usize);
+                    let label = part.label(i);
                     let d = match &pattern {
                         Some(p) => p.distance(label),
                         None => sim::levenshtein(norm, label),

@@ -25,7 +25,9 @@
 //!
 //! The fact indexes live in a **dictionary-encoded columnar triple
 //! store** (sorted CSR arenas over interned `u32` ids, binary-searched;
-//! copy-on-write overlays absorb enrichment). See DESIGN.md §5i.
+//! copy-on-write overlays absorb enrichment). Clones of a [`Kb`] share
+//! everything finalize built, so a clone costs the size of its overlays.
+//! See DESIGN.md §5i.
 //!
 //! # Quick example
 //!

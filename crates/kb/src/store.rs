@@ -10,9 +10,16 @@
 //! `columnar` module (DESIGN.md §5i), owned by [`Kb`] directly: `finalize`
 //! packs them once into sorted CSR rows and SPO permutations, and
 //! copy-on-write overlays absorb the enrichment writes.
+//!
+//! Everything `finalize` builds sits behind an `Arc`, and enrichment
+//! writes go to per-store overlays, so [`Kb::clone`] shares the finalized
+//! KB and copies only the overlays: a clone costs what was written into
+//! its source since finalize, not the source's size.
+
+use std::sync::Arc;
 
 use crate::coherence::CoherenceTable;
-use crate::columnar::{CsrRows, NormIndex, PairCsr};
+use crate::columnar::{CsrRows, NormIndex, PairCsr, SharedVec};
 use crate::error::KbError;
 use crate::ids::{ClassId, LiteralId, PropertyId, ResourceId};
 use crate::interner::Interner;
@@ -24,8 +31,9 @@ use crate::sim;
 
 /// An immutable-schema, enrichable-facts knowledge base.
 ///
-/// See the crate docs for the supported RDFS fragment. All `Vec`-indexed
-/// fields are dense over the respective id space.
+/// See the crate docs for the supported RDFS fragment. All id-indexed
+/// fields are dense over the respective id space. Cloning shares every
+/// arena `finalize` built and copies only the enrichment overlays.
 #[derive(Debug, Clone)]
 pub struct Kb {
     pub(crate) name: String,
@@ -34,12 +42,12 @@ pub struct Kb {
     pub(crate) props: Interner,
     pub(crate) literals: Interner,
     /// Human-readable label per resource (defaults to the resource name).
-    pub(crate) labels: Vec<String>,
+    pub(crate) labels: SharedVec<String>,
     pub(crate) label_index: LabelIndex,
-    pub(crate) class_hier: Hierarchy,
-    pub(crate) prop_hier: Hierarchy,
-    /// Direct (asserted) types per resource.
-    pub(crate) direct_types: Vec<Vec<ClassId>>,
+    pub(crate) class_hier: Arc<Hierarchy>,
+    pub(crate) prop_hier: Arc<Hierarchy>,
+    /// Direct (asserted) types per resource, in assertion order.
+    pub(crate) direct_types: CsrRows<ClassId>,
     /// Asserted types *plus* superclass closure, per resource (sorted at
     /// finalize; enrichment appends unsorted).
     pub(crate) types_closure: CsrRows<ClassId>,
@@ -61,7 +69,7 @@ pub struct Kb {
     pub(crate) prop_objects: CsrRows<ResourceId>,
     /// normalize(lit) -> LiteralIds of the spellings, for Q_rels^2.
     pub(crate) literal_norm: NormIndex,
-    pub(crate) coherence: CoherenceTable,
+    pub(crate) coherence: Arc<CoherenceTable>,
     pub(crate) sim_threshold: f64,
     /// Count of facts (triples with a property), for reporting.
     pub(crate) fact_count: usize,
@@ -106,7 +114,9 @@ impl Kb {
     /// with [`Kb::num_facts`] and [`Kb::num_entities`] this gives the
     /// triple count a serialized dump would carry.
     pub fn num_type_assertions(&self) -> usize {
-        self.direct_types.iter().map(Vec::len).sum()
+        self.resource_ids()
+            .map(|r| self.direct_types(r).len())
+            .sum()
     }
 
     /// The similarity threshold used for approximate label matching.
@@ -181,7 +191,7 @@ impl Kb {
 
     /// Direct (asserted) types of a resource.
     pub fn direct_types(&self, r: ResourceId) -> &[ClassId] {
-        &self.direct_types[r.index()]
+        self.direct_types.row(r.index())
     }
 
     /// Types of a resource including all superclasses (`rdfs:type/subClassOf*`).
@@ -322,10 +332,11 @@ impl Kb {
         for op in &delta.ops {
             match op {
                 DeltaOp::Entity { name, label } => {
-                    self.ensure_id_headroom()?;
-                    let before = self.version;
-                    self.add_entity(name, label, &[]);
-                    if self.version != before {
+                    // Under either spelling: a checkpoint reload may have
+                    // renamed the entity since the op was captured.
+                    if self.resolve_resource_name(name).is_none() {
+                        self.ensure_id_headroom()?;
+                        self.add_entity(name, label, &[]);
                         changed += 1;
                     }
                 }
@@ -502,8 +513,7 @@ impl Kb {
         });
         self.labels.push(label.to_string());
         self.label_index.insert(label, r);
-        // Fact-index rows past the base arenas are implicitly empty.
-        self.direct_types.push(Vec::new());
+        // Type and fact rows past the base arenas are implicitly empty.
         for &t in types {
             self.add_type(r, t);
         }
@@ -514,7 +524,7 @@ impl Kb {
     /// maintaining the type closure and ENT sets. Returns whether the
     /// assertion was new (mirrors [`Kb::add_fact`]).
     pub fn add_type(&mut self, r: ResourceId, t: ClassId) -> bool {
-        if self.direct_types[r.index()].contains(&t) {
+        if self.direct_types(r).contains(&t) {
             return false;
         }
         self.version += 1;
@@ -522,7 +532,7 @@ impl Kb {
             resource: kb.resource_name(r).to_string(),
             class: kb.class_name(t).to_string(),
         });
-        self.direct_types[r.index()].push(t);
+        self.direct_types.push(r.index(), t);
         let mut cs = vec![t.0];
         cs.extend(self.class_hier.ancestors(t.0).map(|(a, _)| a));
         for c in cs {
@@ -538,6 +548,9 @@ impl Kb {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use super::Kb;
     use crate::builder::KbBuilder;
     use crate::query::Object;
 
@@ -744,6 +757,131 @@ mod tests {
             }],
         };
         assert_eq!(target.apply_delta(&delta).unwrap(), 1);
+    }
+
+    #[test]
+    fn apply_delta_does_not_duplicate_a_reloaded_entity() {
+        use crate::journal::{DeltaOp, EnrichmentDelta};
+        // Two requests create the same entity and a compaction (a
+        // checkpoint reload, which renames it) lands between their
+        // appends: the second `Entity` op names an entity that exists.
+        let mut b = KbBuilder::new();
+        let person = b.class("person");
+        b.entity("Rossi", &[person]);
+        let mut live = b.finalize();
+        live.add_entity("New Town", "New Town", &[]);
+        let mut target =
+            crate::ntriples::parse("reloaded", &crate::ntriples::to_string(&live)).unwrap();
+        let (entities, version) = (target.num_entities(), target.version());
+        let delta = EnrichmentDelta {
+            ops: vec![DeltaOp::Entity {
+                name: "New Town".into(),
+                label: "New Town".into(),
+            }],
+        };
+        assert_eq!(target.apply_delta(&delta).unwrap(), 0);
+        assert_eq!(target.num_entities(), entities);
+        assert_eq!(target.version(), version);
+        assert_eq!(target.resources_by_label("new town").len(), 1);
+    }
+
+    /// Whether `a` and `b` share each arena `finalize` builds.
+    fn shared_arenas(a: &Kb, b: &Kb) -> Vec<(&'static str, bool)> {
+        vec![
+            ("resources", a.resources.shares_base(&b.resources)),
+            ("classes", a.classes.shares_base(&b.classes)),
+            ("props", a.props.shares_base(&b.props)),
+            ("literals", a.literals.shares_base(&b.literals)),
+            ("labels", a.labels.shares_base(&b.labels)),
+            ("label_index", a.label_index.shares_base(&b.label_index)),
+            ("class_hier", Arc::ptr_eq(&a.class_hier, &b.class_hier)),
+            ("prop_hier", Arc::ptr_eq(&a.prop_hier, &b.prop_hier)),
+            ("direct_types", a.direct_types.shares_base(&b.direct_types)),
+            (
+                "types_closure",
+                a.types_closure.shares_base(&b.types_closure),
+            ),
+            (
+                "class_entities",
+                a.class_entities.shares_base(&b.class_entities),
+            ),
+            ("out_edges", a.out_edges.shares_base(&b.out_edges)),
+            ("in_edges", a.in_edges.shares_base(&b.in_edges)),
+            ("rr", a.rr.shares_base(&b.rr)),
+            ("rl", a.rl.shares_base(&b.rl)),
+            (
+                "prop_subjects",
+                a.prop_subjects.shares_base(&b.prop_subjects),
+            ),
+            ("prop_objects", a.prop_objects.shares_base(&b.prop_objects)),
+            ("literal_norm", a.literal_norm.shares_base(&b.literal_norm)),
+            ("coherence", Arc::ptr_eq(&a.coherence, &b.coherence)),
+        ]
+    }
+
+    /// Every enrichment write: a new entity with a new label, a homonym
+    /// of a base label, a type, a resource fact and a literal fact.
+    fn enrich(kb: &mut Kb, tag: &str) {
+        let capital = kb.class_by_name("capital").unwrap();
+        let country = kb.class_by_name("country").unwrap();
+        let has_capital = kb.property_by_name("hasCapital").unwrap();
+        let italy = kb.resource_by_name("Italy").unwrap();
+        let fresh = kb.add_entity(&format!("{tag} Town"), &format!("{tag} Town"), &[capital]);
+        let homonym = kb.add_entity(&format!("Rome ({tag})"), "Rome", &[]);
+        assert!(kb.add_type(homonym, capital));
+        assert!(kb.add_type(italy, capital));
+        assert!(kb.add_fact(fresh, has_capital, italy));
+        assert!(kb.add_fact(italy, has_capital, homonym));
+        assert!(kb.add_literal_fact(italy, has_capital, &format!("{tag} lit")));
+        assert!(kb.add_type(fresh, country));
+    }
+
+    #[test]
+    fn clones_share_every_finalized_arena_across_writes() {
+        let mut b = KbBuilder::new();
+        let country = b.class("country");
+        let capital = b.class("capital");
+        let city = b.class("city");
+        b.subclass(capital, city).unwrap();
+        let has_capital = b.property("hasCapital");
+        let italy = b.entity("Italy", &[country]);
+        let rome = b.entity("Rome", &[capital]);
+        b.fact(italy, has_capital, rome);
+        b.literal_fact(rome, has_capital, "1.78");
+        let mut source = b.finalize();
+        let before = crate::ntriples::to_string(&source);
+        let mut clone = source.clone();
+        let unshared = |a: &Kb, b: &Kb| -> Vec<&'static str> {
+            shared_arenas(a, b)
+                .into_iter()
+                .filter(|&(_, shared)| !shared)
+                .map(|(name, _)| name)
+                .collect()
+        };
+        assert_eq!(unshared(&source, &clone), Vec::<&str>::new());
+
+        enrich(&mut clone, "Clone");
+        assert_eq!(unshared(&source, &clone), Vec::<&str>::new());
+        assert_eq!(crate::ntriples::to_string(&source), before);
+        assert!(source.resources_by_label("clone town").is_empty());
+        assert_eq!(source.resources_by_label("rome"), &[rome]);
+        assert_eq!(clone.resources_by_label("rome").len(), 2);
+
+        let third = source.clone();
+        enrich(&mut source, "Source");
+        assert_eq!(unshared(&source, &clone), Vec::<&str>::new());
+        assert_eq!(unshared(&third, &clone), Vec::<&str>::new());
+        assert_eq!(crate::ntriples::to_string(&third), before);
+        assert!(clone.resources_by_label("source town").is_empty());
+        // Both sides numbered their first new entity alike; each sees
+        // only its own.
+        let (s, c) = (
+            source.resources_by_label("source town"),
+            clone.resources_by_label("clone town"),
+        );
+        assert_eq!(s, c);
+        assert_eq!(source.resource_name(s[0]), "Source Town");
+        assert_eq!(clone.resource_name(c[0]), "Clone Town");
     }
 
     #[test]

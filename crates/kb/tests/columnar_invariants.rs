@@ -2,14 +2,15 @@
 //! surface must answer exactly like a triple-list oracle built from the
 //! same generated input — same values, same order — before and after
 //! enrichment writes, and the candidate-list relation query must equal
-//! the per-pair reference.
+//! the per-pair reference. Writes made on a clone leave the store it was
+//! cloned from untouched.
 //!
 //! The oracle keeps the asserted type and fact triples in a `Vec` in
 //! write order and answers each query by a scan. It reads only the class
 //! and property hierarchies from the KB, which are not the fact store
 //! under test.
 
-use katara_kb::{sim, ClassId, Kb, KbBuilder, Object, PropertyId, ResourceId};
+use katara_kb::{ntriples, sim, ClassId, Kb, KbBuilder, Object, PropertyId, ResourceId};
 use proptest::prelude::*;
 
 const NC: usize = 5;
@@ -51,7 +52,7 @@ enum Obj {
 }
 
 /// The reference store: asserted triples in write order, queried by scan.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Oracle {
     resources: usize,
     /// Direct type assertions, each once; the first `base_types` were
@@ -333,6 +334,42 @@ fn assert_matches_oracle(kb: &Kb, oracle: &Oracle) {
     }
 }
 
+/// Enrichment writes, made on `kb` and recorded in `oracle`: resource and
+/// literal facts, a new entity with a type and a fact, and a type on an
+/// existing entity.
+fn enrich(
+    kb: &mut Kb,
+    oracle: &mut Oracle,
+    writes: &[(usize, usize, usize)],
+    typed: (usize, usize),
+) {
+    let rs: Vec<_> = kb.resource_ids().collect();
+    let ps: Vec<_> = kb.property_ids().collect();
+    let cs: Vec<_> = kb.class_ids().collect();
+    for &(s, p, o) in writes {
+        let (s, p, o) = (rs[s % rs.len()], ps[p], rs[o % rs.len()]);
+        prop_assert_eq!(kb.add_fact(s, p, o), oracle.assert_fact(s, p, Obj::Res(o)));
+        let lit = format!("v{}", s.index());
+        prop_assert_eq!(
+            kb.add_literal_fact(o, p, &lit),
+            oracle.assert_fact(o, p, Obj::Lit(lit))
+        );
+    }
+    let class = cs[typed.1];
+    let fresh = kb.add_entity("fresh", "Fresh One", &[class]);
+    prop_assert_eq!(fresh, oracle.add_resource());
+    oracle.assert_type(fresh, class);
+    let target = rs[typed.0 % rs.len()];
+    prop_assert_eq!(
+        kb.add_type(target, class),
+        oracle.assert_type(target, class)
+    );
+    prop_assert_eq!(
+        kb.add_fact(fresh, ps[0], target),
+        oracle.assert_fact(fresh, ps[0], Obj::Res(target))
+    );
+}
+
 /// The per-pair reference: a [`Kb::relations_between`] nested
 /// loop with first-occurrence dedup.
 fn per_pair_relations(
@@ -372,29 +409,21 @@ proptest! {
             prop_assert!(!changed, "re-asserting a base fact changed the store");
         }
         prop_assert_eq!(kb.version(), 0);
+        let dump = ntriples::to_string(&kb);
 
-        let rs: Vec<_> = kb.resource_ids().collect();
-        let ps: Vec<_> = kb.property_ids().collect();
-        let cs: Vec<_> = kb.class_ids().collect();
-        for &(s, p, o) in &writes {
-            let (s, p, o) = (rs[s % rs.len()], ps[p], rs[o % rs.len()]);
-            prop_assert_eq!(kb.add_fact(s, p, o), oracle.assert_fact(s, p, Obj::Res(o)));
-            let lit = format!("v{}", s.index());
-            prop_assert_eq!(
-                kb.add_literal_fact(o, p, &lit),
-                oracle.assert_fact(o, p, Obj::Lit(lit))
-            );
-        }
-        let class = cs[typed.1];
-        let fresh = kb.add_entity("fresh", "Fresh One", &[class]);
-        prop_assert_eq!(fresh, oracle.add_resource());
-        oracle.assert_type(fresh, class);
-        let target = rs[typed.0 % rs.len()];
-        prop_assert_eq!(kb.add_type(target, class), oracle.assert_type(target, class));
-        prop_assert_eq!(
-            kb.add_fact(fresh, ps[0], target),
-            oracle.assert_fact(fresh, ps[0], Obj::Res(target))
-        );
+        let mut clone = kb.clone();
+        let mut clone_oracle = oracle.clone();
+        enrich(&mut clone, &mut clone_oracle, &writes, typed);
+        prop_assert_eq!(clone.version(), clone_oracle.writes());
+        assert_matches_oracle(&clone, &clone_oracle);
+        // The store the clone came from still answers as before the
+        // writes, and serializes to the same bytes.
+        prop_assert_eq!(kb.version(), 0);
+        assert_matches_oracle(&kb, &oracle);
+        prop_assert_eq!(ntriples::to_string(&kb), dump);
+
+        // The same writes on the store itself.
+        enrich(&mut kb, &mut oracle, &writes, typed);
         prop_assert_eq!(kb.version(), oracle.writes());
         assert_matches_oracle(&kb, &oracle);
     }

@@ -14,11 +14,15 @@
 //!    trigram_jaccard)`, sorted by (score desc, slot asc) — in resources,
 //!    order and score bits, at thresholds 0.5, 0.7 and 0.9. The search's
 //!    work counts are checked against the same scan.
+//! 3. **Clone == scratch.** Entities added to a clone of a finalized store
+//!    (new labels and homonyms of its labels, which the clone keeps out
+//!    of the shared base) resolve exactly and fuzzily like a store built
+//!    with them from scratch: same resources, order, score bits and work.
 //!
 //! The case count is elevated in CI via `KATARA_FUZZ_CASES`.
 
 use katara_kb::sim;
-use katara_kb::{LabelIndex, ResourceId};
+use katara_kb::{Kb, KbBuilder, LabelIndex, ResourceId};
 use proptest::prelude::*;
 
 /// Per-test case count: `KATARA_FUZZ_CASES` (CI runs an elevated count)
@@ -234,6 +238,85 @@ proptest! {
             let query = perturb(&words[w % words.len()], edits, alphabet);
             check_query(&idx, &slots, &query);
         }
+    }
+
+    #[test]
+    fn clone_additions_resolve_like_a_store_built_with_them(
+        alphabet in 0usize..ALPHABETS.len(),
+        words in prop::collection::vec(prop::collection::vec((0usize..8, 1usize..7), 0..6), 1..16),
+        base in prop::collection::vec(0usize..64, 1..24),
+        added in prop::collection::vec(0usize..64, 1..12),
+        queries in prop::collection::vec(
+            (0usize..64, prop::collection::vec((0usize..5, 0usize..64, 0usize..8), 0..4)),
+            1..6,
+        ),
+    ) {
+        let alphabet = ALPHABETS[alphabet];
+        let words: Vec<String> = words.iter().map(|w| spell_runs(alphabet, w)).collect();
+        // Added labels draw from the same few words as the base's, so
+        // many are homonyms of base labels.
+        let labels = |picks: &[usize]| -> Vec<String> {
+            picks.iter().map(|&w| words[w % words.len()].clone()).collect()
+        };
+        let (base, added) = (labels(&base), labels(&added));
+        let (clone, scratch) = clone_and_scratch(&base, &added);
+        for (w, edits) in &queries {
+            let word = &words[w % words.len()];
+            check_clone(&clone, &scratch, word);
+            check_clone(&clone, &scratch, &perturb(word, edits, alphabet));
+        }
+    }
+}
+
+/// A finalized store of `base` labels with `added` entities added to a
+/// clone of it, and a store built with both from scratch.
+fn clone_and_scratch(base: &[String], added: &[String]) -> (Kb, Kb) {
+    let name = |i: usize| format!("e{i}");
+    let mut b = KbBuilder::new();
+    for (i, label) in base.iter().enumerate() {
+        b.entity_labeled(&name(i), label, &[]);
+    }
+    let mut clone = b.finalize().clone();
+    let mut b = KbBuilder::new();
+    for (i, label) in base.iter().chain(added).enumerate() {
+        b.entity_labeled(&name(i), label, &[]);
+    }
+    for (i, label) in added.iter().enumerate() {
+        clone.add_entity(&name(base.len() + i), label, &[]);
+    }
+    (clone, b.finalize())
+}
+
+/// The clone resolves `query` exactly as the scratch store does.
+fn check_clone(clone: &Kb, scratch: &Kb, query: &str) {
+    assert_eq!(
+        clone.resources_by_label(query),
+        scratch.resources_by_label(query),
+        "exact {query:?}"
+    );
+    let resolve = |kb: &Kb| {
+        let (hits, stats) = kb.candidate_resources_counted(&sim::normalize(query));
+        let hits: Vec<(ResourceId, u64)> = hits.iter().map(|&(r, s)| (r, s.to_bits())).collect();
+        (hits, stats)
+    };
+    assert_eq!(resolve(clone), resolve(scratch), "fuzzy {query:?}");
+}
+
+#[test]
+fn clone_homonyms_and_new_labels_resolve_like_scratch() {
+    let base: Vec<String> = ["Rossi", "Rome", "Madrid", "Roma"]
+        .map(String::from)
+        .to_vec();
+    let added: Vec<String> = ["Rossi", "  ROME ", "Rosi", "Madird", "Rossi"]
+        .map(String::from)
+        .to_vec();
+    let (clone, scratch) = clone_and_scratch(&base, &added);
+    assert_eq!(clone.resources_by_label("rossi").len(), 3);
+    assert_eq!(clone.resources_by_label("rome").len(), 2);
+    for query in [
+        "rossi", "Rome", "rosi", "madird", "Madrd", "rossa", "roma", "nowhere",
+    ] {
+        check_clone(&clone, &scratch, query);
     }
 }
 

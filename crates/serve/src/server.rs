@@ -29,7 +29,10 @@
 //!
 //! The pipeline's `TableResolution` snapshots are kept warm across
 //! requests, keyed by the request body and the KB version; the base KB
-//! is cloned per request so enrichment never leaks between tenants.
+//! is cloned per request so enrichment never leaks between tenants. A
+//! clone shares the base's finalized arenas and copies only the base's
+//! enrichment overlays (DESIGN.md §5i), so it costs what durable mode
+//! folded in since the last checkpoint, not the KB's size.
 //! Admission is a bounded in-flight counter — excess requests shed
 //! immediately instead of queueing behind a dying pipeline. Shutdown (via
 //! [`ServerHandle::shutdown`] or SIGTERM after
@@ -324,10 +327,10 @@ impl ServerHandle {
         self.state.in_flight.load(Ordering::SeqCst)
     }
 
-    /// The server-wide metrics snapshot as JSON (same document as
-    /// `GET /metrics`).
-    pub fn metrics_json(&self) -> String {
-        self.state.recorder.snapshot().to_json()
+    /// The server-wide metrics snapshot (`GET /metrics` serves its
+    /// [`RunMetrics::to_json`]).
+    pub fn metrics(&self) -> RunMetrics {
+        self.state.recorder.snapshot()
     }
 }
 
@@ -735,9 +738,10 @@ fn handle_clean(state: &ServerState, req: &Request, text: &str) -> (u16, String)
 
     // Per-request KB clone: enrichment must never leak across requests
     // (and the warm snapshots stay valid against the base they were
-    // built from). In durable mode the base advances when journaled
-    // enrichment folds back in — the version in the cache key below is
-    // what keeps snapshots honest across that.
+    // built from). The clone shares the finalized KB; this request's
+    // writes land in its own overlays. In durable mode the base advances
+    // when journaled enrichment folds back in — the version in the cache
+    // key below is what keeps snapshots honest across that.
     let (mut kb, base_version) = clone_base_kb(state);
 
     // Warm snapshot cache, keyed by (body, KB version). `cold` bypasses
@@ -995,7 +999,8 @@ fn persist_enrichment(state: &ServerState, report: &mut CleaningReport) {
         Ok(_seq) => {
             let mut shared = state.kb.write().unwrap_or_else(|e| e.into_inner());
             // Apply to a scratch clone and swap: an op that fails to
-            // resolve must not leave the shared store half-mutated.
+            // resolve must not leave the shared store half-mutated. The
+            // clone copies only the overlays, not the finalized KB.
             let mut next = shared.clone();
             match next.apply_delta(&delta) {
                 Ok(_changed) => {

@@ -205,7 +205,10 @@ fn admission_control_sheds_with_retry_after() {
     assert_eq!(status, 200, "health must not be behind admission");
     wait_idle(&handle);
     assert!(
-        handle.metrics_json().contains("\"serve.queue_depth\": 0"),
+        handle
+            .metrics()
+            .to_json()
+            .contains("\"serve.queue_depth\": 0"),
         "shed requests must release their slots"
     );
     handle.shutdown();
@@ -267,7 +270,7 @@ fn fault_plan_mix_leaves_no_leaked_slots() {
     // Give handlers for vanished clients a moment to observe EOF.
     std::thread::sleep(Duration::from_millis(300));
     wait_idle(&handle);
-    let metrics = handle.metrics_json();
+    let metrics = handle.metrics().to_json();
     assert!(
         metrics.contains("\"serve.queue_depth\": 0"),
         "no leaked in-flight slots after the fault mix: {metrics}"
