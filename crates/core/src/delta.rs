@@ -725,6 +725,46 @@ mod tests {
         );
     }
 
+    /// A session whose bootstrap has nothing to repair builds no repair
+    /// index. The first replay that makes an erroneous row builds it, and
+    /// a later replay under the same key reuses it.
+    #[test]
+    fn the_first_erroneous_replay_builds_the_index_once() {
+        let (mut kb, mut t) = setting();
+        t.set_cell(2, 2, Value::from_cell("Rome"));
+        let rec = Arc::new(RunRecorder::new());
+        let config = KataraConfig {
+            recorder: rec.clone(),
+            ..KataraConfig::default()
+        };
+        let (mut session, boot) = Katara::new(config)
+            .delta_session(&t, &mut kb, &mut crowd())
+            .unwrap();
+        assert!(boot.annotation.erroneous_rows().is_empty());
+        let graphs = || rec.counter_total(Counter::RepairGraphsBuilt);
+        assert_eq!(graphs(), 0, "nothing to repair: no index");
+        let version = kb.version();
+
+        let first = TableDelta {
+            edits: vec![upsert(0, &["Rossi", "Italy", "Paris"])],
+        };
+        let report = session.clean_delta(&mut kb, &mut crowd(), &first).unwrap();
+        assert_eq!(report.annotation.erroneous_rows(), vec![0]);
+        assert_eq!(report.repairs.len(), 1);
+        let built = graphs();
+        assert!(built > 0, "the first erroneous row builds the index");
+
+        let second = TableDelta {
+            edits: vec![upsert(3, &["Ramos", "Spain", "Rome"])],
+        };
+        let again = session.clean_delta(&mut kb, &mut crowd(), &second).unwrap();
+        assert_eq!(kb.version(), version, "the replays enrich nothing");
+        assert!(again.pattern.same_shape(&report.pattern));
+        assert_eq!(again.annotation.erroneous_rows(), vec![0, 3]);
+        assert_eq!(again.repairs.len(), 2);
+        assert_eq!(graphs(), built, "the same key: the index is reused");
+    }
+
     /// A replay whose edits move only the discovery score keeps the
     /// repair index and the Full rows: both depend on the pattern's nodes
     /// and edges, never on its score (§6.2).

@@ -67,10 +67,11 @@ pub struct KataraConfig {
     pub recorder: Arc<dyn Recorder>,
     /// Per-run wall-clock deadline, checked cooperatively at phase
     /// boundaries, inside the validation scheduler and annotation row
-    /// loops, by every repair worker, and before every crowd ask (the
-    /// pipeline gives it to the crowd, which validation and annotation
-    /// consult, and injects it into the repair config, like the
-    /// recorder). Expiry before discovery yields a pattern errors with
+    /// loops, per seed entity of the repair index build, by every repair
+    /// worker, and before every crowd ask (the pipeline gives it to the
+    /// crowd, which validation and annotation consult, and injects it
+    /// into the repair config, like the recorder). Expiry before
+    /// discovery yields a pattern errors with
     /// [`KataraError::DeadlineExceeded`]; later expiry completes with a
     /// partial report whose finished-phase prefix is identical to the
     /// undeadlined run. Inert by default.
@@ -499,11 +500,14 @@ impl Katara {
             }
         }
 
-        // (4) Top-k possible repairs for the erroneous tuples. The index
-        // is built after annotation so enriched facts contribute
-        // instance graphs; the *effective* pattern (after annotation-time
-        // feedback) drives repair. Cached rows are reused while the
-        // effective pattern's shape and the KB version hold.
+        // (4) Top-k possible repairs for the erroneous tuples (§6.2),
+        // driven by the *effective* pattern (after annotation-time
+        // feedback). The index is built after annotation, so enriched
+        // facts contribute instance graphs, and only when an erroneous
+        // row is not already served by the cache, so a run with nothing
+        // to repair enumerates no instance graph. The index and the
+        // cached rows are reused while the effective pattern's shape and
+        // the KB version hold.
         let effective = annotation.pattern.clone();
         let repairs = {
             let _span = Span::enter(rec.as_ref(), "repair");
@@ -527,9 +531,6 @@ impl Katara {
                         ..RepairCache::default()
                     };
                 }
-                let index = cache
-                    .index
-                    .get_or_insert_with(|| RepairIndex::build(kb, &effective, &repair_cfg));
                 let erroneous = annotation.erroneous_rows();
                 let live: Vec<usize> = erroneous
                     .iter()
@@ -539,19 +540,33 @@ impl Katara {
                 if replay {
                     rec.incr_by(Counter::DeltaTuplesRepaired, live.len() as u64);
                 }
-                // Repair only consumes the snapshot's string tier
-                // (normalized cells).
-                cache.rows.extend(generate_repairs_resolved(
-                    index,
-                    kb,
-                    &effective,
-                    table,
-                    &live,
-                    self.config.repairs_k,
-                    &repair_cfg,
-                    self.config.threads,
-                    Some(&**snapshot),
-                ));
+                if !live.is_empty() {
+                    let index = cache
+                        .index
+                        .get_or_insert_with(|| RepairIndex::build(kb, &effective, &repair_cfg));
+                    // The boundary check above passed, so a deadline
+                    // that has tripped since tripped inside the build,
+                    // which then holds only some of the graphs (its
+                    // workers see the same expiry and repair nothing):
+                    // never keep such an index for a later run.
+                    let complete = !dl.triggered();
+                    // Repair only consumes the snapshot's string tier
+                    // (normalized cells).
+                    cache.rows.extend(generate_repairs_resolved(
+                        index,
+                        kb,
+                        &effective,
+                        table,
+                        &live,
+                        self.config.repairs_k,
+                        &repair_cfg,
+                        self.config.threads,
+                        Some(&**snapshot),
+                    ));
+                    if !complete {
+                        cache.index = None;
+                    }
+                }
                 let repairs: Vec<(usize, Vec<Repair>)> = erroneous
                     .iter()
                     .filter_map(|&r| cache.rows.get(&r).map(|v| (r, v.clone())))
@@ -661,6 +676,8 @@ pub(crate) struct RunCaches {
 #[derive(Default)]
 pub(crate) struct RepairCache {
     key: Option<(TablePattern, u64)>,
+    /// Built by the first run under this key with a row to repair, and
+    /// only ever complete.
     index: Option<RepairIndex>,
     /// Erroneous row → its top-k repairs.
     pub(crate) rows: HashMap<usize, Vec<Repair>>,
@@ -968,6 +985,116 @@ mod tests {
         assert_eq!(
             format!("{:?}", report3.pattern),
             format!("{:?}", full.pattern)
+        );
+    }
+
+    /// [`setting`] with the error fixed: every row validates.
+    fn clean_setting() -> (Kb, Table) {
+        let (kb, mut t) = setting();
+        t.set_cell(2, 2, katara_table::Value::from_cell("Rome"));
+        (kb, t)
+    }
+
+    /// A clean with its own recorder, returning the report and the
+    /// instance graphs its repair phase enumerated.
+    fn clean_counting_graphs(
+        config: KataraConfig,
+        t: &Table,
+        kb: &mut Kb,
+        caches: &mut RunCaches,
+    ) -> Result<(CleaningReport, u64), KataraError> {
+        let rec = Arc::new(katara_obs::RunRecorder::new());
+        let katara = Katara::new(KataraConfig {
+            recorder: rec.clone(),
+            ..config
+        });
+        let (report, _) = katara.clean_caching(t, kb, &mut crowd(), None, caches)?;
+        Ok((report, rec.counter_total(Counter::RepairGraphsBuilt)))
+    }
+
+    #[test]
+    fn a_clean_with_nothing_to_repair_builds_no_index() {
+        let (mut kb, t) = clean_setting();
+        let (report, graphs) = clean_counting_graphs(
+            KataraConfig::default(),
+            &t,
+            &mut kb,
+            &mut RunCaches::default(),
+        )
+        .unwrap();
+        assert!(report.annotation.erroneous_rows().is_empty());
+        assert!(report.repairs.is_empty());
+        assert_eq!(graphs, 0, "no erroneous row: no instance graph");
+
+        let (mut kb, t) = setting();
+        let (report, graphs) = clean_counting_graphs(
+            KataraConfig::default(),
+            &t,
+            &mut kb,
+            &mut RunCaches::default(),
+        )
+        .unwrap();
+        assert_eq!(report.repairs.len(), 1);
+        assert!(graphs > 0, "an erroneous row builds the index");
+    }
+
+    /// The index build polls the deadline once per seed entity: a
+    /// deadline that falls due inside it stops the build, the run
+    /// reports what a build run to the end would (phase `repair`, no
+    /// repairs), and the cut-short index is never cached.
+    #[test]
+    fn a_deadline_inside_the_index_build_cuts_it_short() {
+        let (mut kb, t) = setting();
+        let (full, full_graphs) = clean_counting_graphs(
+            KataraConfig::default(),
+            &t,
+            &mut kb,
+            &mut RunCaches::default(),
+        )
+        .unwrap();
+        assert!(full_graphs > 1 && !full.repairs.is_empty());
+        let deadlined = |checks| KataraConfig {
+            deadline: Deadline::after_checks(checks),
+            ..KataraConfig::default()
+        };
+        // The smallest budget that reaches the repair phase trips at its
+        // boundary check; two more pass it and the build's first seed
+        // poll, so the build walks from exactly one seed entity.
+        let boundary = (0..1_000)
+            .find(|&n| {
+                let (mut kb, t) = setting();
+                clean_counting_graphs(deadlined(n), &t, &mut kb, &mut RunCaches::default())
+                    .is_ok_and(|(report, _)| report.degradation.deadline_phase == Some("repair"))
+            })
+            .expect("some budget reaches the repair phase");
+
+        let (mut kb, t) = setting();
+        let mut caches = RunCaches::default();
+        let (cut, graphs) =
+            clean_counting_graphs(deadlined(boundary + 2), &t, &mut kb, &mut caches).unwrap();
+        assert_eq!(cut.degradation.deadline_phase, Some("repair"));
+        assert!(cut.repairs.is_empty());
+        assert_eq!(
+            format!("{:?}", cut.annotation),
+            format!("{:?}", full.annotation)
+        );
+        assert!(graphs < full_graphs, "{graphs} of {full_graphs} graphs");
+        assert!(
+            caches.repairs.index.is_none(),
+            "a partial index is never kept"
+        );
+
+        // The next run under the same key builds the whole index again.
+        let mut next = RunCaches {
+            repairs: caches.repairs,
+            ..RunCaches::default()
+        };
+        let (after, graphs) =
+            clean_counting_graphs(KataraConfig::default(), &t, &mut kb, &mut next).unwrap();
+        assert_eq!(graphs, full_graphs);
+        assert_eq!(
+            format!("{:?}", after.repairs),
+            format!("{:?}", full.repairs)
         );
     }
 

@@ -49,9 +49,11 @@ pub struct RepairConfig {
     /// Hit from inside `katara-exec` workers, so implementations must be
     /// thread-safe (the live recorder uses sharded atomics).
     pub recorder: Arc<dyn Recorder>,
-    /// Cooperative cancellation, checked by every repair worker before it
-    /// starts a tuple: [`generate_repairs_resolved`] truncates its output
-    /// to the contiguous prefix of rows completed before expiry. Inert by
+    /// Cooperative cancellation, checked by [`RepairIndex::build`] before
+    /// it walks from each seed entity and by every repair worker before
+    /// it starts a tuple: the build stops with the graphs found so far,
+    /// and [`generate_repairs_resolved`] truncates its output to the
+    /// contiguous prefix of rows completed before expiry. Inert by
     /// default; the pipeline injects its run deadline here.
     pub deadline: Deadline,
 }
@@ -129,7 +131,9 @@ pub struct Repair {
 
 impl RepairIndex {
     /// Enumerate all instance graphs of `pattern` in `kb` and build the
-    /// inverted lists.
+    /// inverted lists. The seed loop polls `config.deadline` once per
+    /// seed entity; on expiry the index keeps only the graphs found so
+    /// far.
     pub fn build(kb: &Kb, pattern: &TablePattern, config: &RepairConfig) -> Self {
         let node_columns: Vec<usize> = pattern.nodes().iter().map(|n| n.column).collect();
         let components = pattern
@@ -210,6 +214,11 @@ fn build_component(
             .class
             .expect("seed is typed");
         for &r in kb.entities_of_class(seed_class) {
+            // A cancellation point per seed entity, as the repair
+            // workers have one per tuple.
+            if config.deadline.expired() {
+                break;
+            }
             walk.descend(seed, NodeVal::Res(r));
             if walk.truncated {
                 break;

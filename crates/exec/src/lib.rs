@@ -30,7 +30,8 @@ pub const THREADS_ENV: &str = "KATARA_THREADS";
 ///
 /// A `Deadline` is checked — never enforced — at the pipeline's
 /// cancellation points (phase boundaries, the validation scheduler loop,
-/// the annotation row loop, repair workers, and the crowd's ask loop).
+/// the annotation row loop, the repair index build's seed loop, repair
+/// workers, and the crowd's ask loop).
 /// [`Deadline::none`] (the `Default`) never expires and adds no
 /// per-check cost beyond a branch, so existing call sites are
 /// byte-identical when no deadline is set.

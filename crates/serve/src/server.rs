@@ -295,6 +295,14 @@ impl ServerState {
         self.shutdown.load(Ordering::SeqCst) || termination_signalled()
     }
 
+    /// The server-wide metrics, with the queue-depth gauge set from the
+    /// in-flight count as it stands now.
+    fn metrics(&self) -> RunMetrics {
+        let depth = self.in_flight.load(Ordering::SeqCst) as u64;
+        self.recorder.set_gauge(Gauge::ServeQueueDepth, depth);
+        self.recorder.snapshot()
+    }
+
     /// True when the durable journal can no longer accept appends.
     fn journal_broken(&self) -> bool {
         match &self.journal {
@@ -330,7 +338,7 @@ impl ServerHandle {
     /// The server-wide metrics snapshot (`GET /metrics` serves its
     /// [`RunMetrics::to_json`]).
     pub fn metrics(&self) -> RunMetrics {
-        self.state.recorder.snapshot()
+        self.state.metrics()
     }
 }
 
@@ -444,8 +452,8 @@ impl Server {
     }
 }
 
-/// Decrements the in-flight counter (and republishes the queue-depth
-/// gauge) even if a handler panics — admission slots must never leak.
+/// Decrements the in-flight counter even if a handler panics —
+/// admission slots must never leak.
 struct InFlightSlot<'a> {
     state: &'a ServerState,
 }
@@ -453,7 +461,6 @@ struct InFlightSlot<'a> {
 impl<'a> InFlightSlot<'a> {
     fn acquire(state: &'a ServerState) -> Result<Self, ()> {
         let now = state.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        state.recorder.set_gauge(Gauge::ServeQueueDepth, now as u64);
         if now > state.config.max_in_flight {
             drop(InFlightSlot { state });
             return Err(());
@@ -464,10 +471,7 @@ impl<'a> InFlightSlot<'a> {
 
 impl Drop for InFlightSlot<'_> {
     fn drop(&mut self) {
-        let now = self.state.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
-        self.state
-            .recorder
-            .set_gauge(Gauge::ServeQueueDepth, now as u64);
+        self.state.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -557,7 +561,7 @@ fn route(state: &ServerState, req: &Request) -> (u16, String, Vec<(String, Strin
             );
             (200, body, Vec::new())
         }
-        ("GET", "/metrics") => (200, state.recorder.snapshot().to_json(), Vec::new()),
+        ("GET", "/metrics") => (200, state.metrics().to_json(), Vec::new()),
         ("POST", "/clean") => admit(state, req, handle_clean),
         ("POST", "/delta") => admit(state, req, handle_delta),
         (_, "/healthz" | "/metrics" | "/clean" | "/delta") => (
@@ -1414,6 +1418,15 @@ mod tests {
         assert!(body.contains("\"status\":\"ok\""));
     }
 
+    /// A counter's or gauge's value in a `GET /metrics` body.
+    fn metrics_counter(body: &str, name: &str) -> u64 {
+        body.split(&format!("\"{name}\": "))
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("{name} is not exported: {body}"))
+    }
+
     #[test]
     fn metrics_endpoint_serves_the_run_metrics_schema() {
         let st = state();
@@ -1430,13 +1443,64 @@ mod tests {
         assert!(body.contains("\"schema\": \"katara-run-metrics/v1\""));
         assert!(body.contains("\"serve.queue_depth\": 0"), "gauge drained");
         // The clean's snapshot records into the server recorder.
-        let lookups = body
-            .split("\"resolve.candidates_lookups\": ")
-            .nth(1)
-            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
-            .and_then(|n| n.parse::<u64>().ok())
-            .expect("resolve.candidates_lookups is exported");
+        let lookups = metrics_counter(&body, "resolve.candidates_lookups");
         assert!(lookups > 0, "one clean must record snapshot lookups");
+        // The gauge reads the in-flight count as it stands at the read.
+        st.in_flight.store(3, Ordering::SeqCst);
+        let (_, body, _) = route(&st, &req);
+        assert_eq!(metrics_counter(&body, "serve.queue_depth"), 3);
+        st.in_flight.store(0, Ordering::SeqCst);
+    }
+
+    /// Trust answers every fact question yes, so no row of the soccer
+    /// body is erroneous and no repair index is built; Skeptic flags the
+    /// Pirlo row and builds one.
+    #[test]
+    fn only_a_clean_with_an_erroneous_row_builds_the_repair_index() {
+        let st = state();
+        let metrics = Request {
+            method: "GET".into(),
+            path: "/metrics".into(),
+            query: vec![],
+            headers: vec![],
+            body: vec![],
+        };
+        let graphs = || metrics_counter(&route(&st, &metrics).1, "repair.graphs_built");
+        let (status, body, _) = route(&st, &post_clean(SOCCER_CSV, &[("crowd", "trust")]));
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"erroneous\":0"), "{body}");
+        assert_eq!(graphs(), 0, "nothing to repair: no index");
+        let (status, body, _) = route(&st, &post_clean(SOCCER_CSV, &[("crowd", "skeptic")]));
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"row\":1"), "{body}");
+        assert!(graphs() > 0, "the Pirlo row builds the index");
+    }
+
+    /// However many distinct bodies and bootstraps arrive, the warm
+    /// caches hold at most their caps.
+    #[test]
+    fn warm_caches_stay_within_their_caps() {
+        let st = state();
+        let csv = |i: usize| format!("{SOCCER_CSV}Extra{i},Italy,Rome\n");
+        let lens = || {
+            (
+                st.snapshots.lock().unwrap().len(),
+                st.sessions.lock().unwrap().len(),
+            )
+        };
+        for i in 0..SNAPSHOT_CACHE_CAP + 8 {
+            let (status, body, _) = route(&st, &post_clean(&csv(i), &[]));
+            assert_eq!(status, 200, "{body}");
+            assert!(lens().0 <= SNAPSHOT_CACHE_CAP, "{} snapshots", lens().0);
+        }
+        assert_eq!(lens().0, SNAPSHOT_CACHE_CAP);
+        for i in 0..SESSION_CACHE_CAP + 4 {
+            let (status, body, _) = route(&st, &post_delta(&csv(i), &[]));
+            assert_eq!(status, 200, "{body}");
+            assert!(lens().1 <= SESSION_CACHE_CAP, "{} sessions", lens().1);
+        }
+        assert_eq!(lens().1, SESSION_CACHE_CAP);
+        assert_eq!(st.recorder.snapshot().counter("serve.sessions_evicted"), 4);
     }
 
     #[test]

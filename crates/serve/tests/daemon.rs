@@ -6,12 +6,14 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use katara_kb::{Kb, KbBuilder};
 use katara_serve::{
     ClientFault, ParseLimits, ServePolicy, Server, ServerConfig, ServerFaultPlan, ServerHandle,
 };
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 fn soccer_kb() -> Kb {
     let mut b = KbBuilder::new().with_name("mini-yago");
@@ -351,6 +353,274 @@ fn durable_daemon_persists_enrichment_across_restarts() {
     handle.shutdown();
     join.join().expect("clean exit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A counter's value in a `GET /metrics` body.
+fn metrics_counter(body: &str, name: &str) -> u64 {
+    body.split(&format!("\"{name}\": "))
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{name} is not exported: {body}"))
+}
+
+/// What one soak client sent and saw.
+#[derive(Default)]
+struct Tally {
+    /// Connections opened, whatever became of them.
+    opened: u64,
+    /// `/clean` requests sent with a well-formed body.
+    cleans: u64,
+    /// Responses with status `429`.
+    shed: u64,
+    /// `/delta` bootstraps.
+    bootstraps: u64,
+}
+
+/// A request on its own connection, counted.
+fn soak_send(addr: SocketAddr, tally: &mut Tally, bytes: &[u8]) -> (u16, String) {
+    tally.opened += 1;
+    let (status, body) = send_raw(addr, bytes);
+    tally.shed += u64::from(status == 429);
+    (status, body)
+}
+
+fn post_delta(query: &str, body: &str) -> Vec<u8> {
+    format!(
+        "POST /delta{query} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// The `"session":"<hex>"` key of a `/delta` response.
+fn session_key_of(body: &str) -> String {
+    let tail = body
+        .split("\"session\":\"")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no session key in {body}"));
+    tail[..tail.find('"').expect("closing quote")].to_string()
+}
+
+/// Six `/clean`s released at once against an admission cap of two.
+fn burst(addr: SocketAddr, tally: &mut Tally, body: &str) {
+    const CLIENTS: usize = 6;
+    let gate = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let gate = Arc::clone(&gate);
+            let request = post_clean("", body);
+            std::thread::spawn(move || {
+                gate.wait();
+                send_raw(addr, &request)
+            })
+        })
+        .collect();
+    for client in clients {
+        let (status, body) = client.join().expect("burst client");
+        assert!(matches!(status, 200 | 206 | 429), "{status}: {body}");
+        tally.shed += u64::from(status == 429);
+    }
+    tally.opened += CLIENTS as u64;
+    tally.cleans += CLIENTS as u64;
+}
+
+/// The soak gate: 1,200 seeded connections over real sockets leave the
+/// daemon bounded and its books balanced. The mix posts
+/// `/clean` on more distinct bodies than the snapshot cache holds,
+/// bootstraps more `/delta` sessions than the session cache holds and
+/// replays them, bursts past the admission cap, sends zero deadlines,
+/// and plays `ServerFaultPlan` client faults.
+#[test]
+fn a_soak_of_mixed_requests_leaves_the_daemon_bounded() {
+    const BODIES: usize = 96; // distinct /clean bodies, past the 64-entry cache
+    const SESSIONS: usize = 16; // the session cache's cap
+    const REQUESTS: u64 = 1_200;
+    let config = ServerConfig {
+        max_in_flight: 2,
+        read_timeout: Duration::from_millis(60),
+        request_wall: Duration::from_millis(150),
+        ..ServerConfig::default()
+    };
+    let (addr, handle, join) = boot(config);
+    let faults = ServerFaultPlan {
+        slow_client_rate: 0.02,
+        truncate_body_rate: 0.02,
+        disconnect_rate: 0.02,
+        seed: 0x50a6,
+    };
+    faults.validate().expect("valid plan");
+    let mut rng = StdRng::seed_from_u64(0x50a6);
+    let body = |i: usize| format!("{SOCCER_CSV}Extra{i},Italy,Rome\n");
+    let mut tally = Tally::default();
+    let mut posted = [false; BODIES];
+    // The session cache as the daemon keeps it: least recently used
+    // first. Keys that fell out of it answer 404.
+    let mut resident: Vec<String> = Vec::new();
+    let mut evicted: Vec<String> = Vec::new();
+    let mut parked: Vec<TcpStream> = Vec::new();
+    let mut step = 0u64;
+
+    while tally.opened < REQUESTS {
+        step += 1;
+        if let Some(fault) = faults.fault_for(step) {
+            tally.opened += 1;
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            match fault {
+                ClientFault::SlowClient => {
+                    let _ = stream.write_all(b"POST /clean HTTP/1.1\r\nX-");
+                    parked.push(stream); // read after the mix
+                }
+                ClientFault::TruncatedBody => {
+                    let _ = stream
+                        .write_all(b"POST /clean HTTP/1.1\r\nContent-Length: 500\r\n\r\nshort");
+                }
+                ClientFault::Disconnect => {
+                    let _ = stream.write_all(b"POS");
+                }
+            }
+            continue;
+        }
+        match rng.random_range(0..100u32) {
+            0..=59 => {
+                let i = rng.random_range(0..BODIES);
+                posted[i] = true;
+                let crowd = if rng.random_bool(0.5) {
+                    "trust"
+                } else {
+                    "skeptic"
+                };
+                let (status, body) = soak_send(
+                    addr,
+                    &mut tally,
+                    &post_clean(&format!("?crowd={crowd}"), &body(i)),
+                );
+                assert!(matches!(status, 200 | 206), "{status}: {body}");
+                tally.cleans += 1;
+            }
+            60..=65 => {
+                let i = rng.random_range(0..BODIES);
+                let (status, body) =
+                    soak_send(addr, &mut tally, &post_delta("?crowd=skeptic", &body(i)));
+                assert!(matches!(status, 200 | 206), "{status}: {body}");
+                tally.bootstraps += 1;
+                resident.push(session_key_of(&body));
+                if resident.len() > SESSIONS {
+                    evicted.push(resident.remove(0));
+                }
+            }
+            66..=85 if !resident.is_empty() || !evicted.is_empty() => {
+                let pick = rng.random_range(0..resident.len() + evicted.len());
+                let capital = if rng.random_bool(0.5) {
+                    "Rome"
+                } else {
+                    "Madrid"
+                };
+                let edits =
+                    format!("op,row,name,country,capital\nupsert,1,Pirlo,Italy,{capital}\n");
+                if pick < resident.len() {
+                    let key = resident.remove(pick);
+                    let (status, body) = soak_send(
+                        addr,
+                        &mut tally,
+                        &post_delta(&format!("?base={key}"), &edits),
+                    );
+                    assert!(matches!(status, 200 | 206), "{status}: {body}");
+                    resident.push(key);
+                } else {
+                    let key = &evicted[pick - resident.len()];
+                    let (status, body) = soak_send(
+                        addr,
+                        &mut tally,
+                        &post_delta(&format!("?base={key}"), &edits),
+                    );
+                    assert_eq!(status, 404, "an evicted session: {body}");
+                }
+            }
+            86..=89 => {
+                let (status, body) = soak_send(
+                    addr,
+                    &mut tally,
+                    &post_clean("?deadline_ms=0", &body(rng.random_range(0..BODIES))),
+                );
+                assert_eq!(status, 408, "{body}");
+                tally.cleans += 1;
+            }
+            90..=91 => {
+                let (status, body) = soak_send(addr, &mut tally, b"GET /healthz HTTP/1.1\r\n\r\n");
+                assert_eq!(status, 200, "{body}");
+            }
+            _ => burst(addr, &mut tally, &body(rng.random_range(0..BODIES))),
+        }
+    }
+    // Bursts race the handlers; the seeded mix sheds in practice, and
+    // a few more bursts make sure of it.
+    for _ in 0..50 {
+        if tally.shed > 0 {
+            break;
+        }
+        burst(addr, &mut tally, SOCCER_CSV);
+    }
+    assert!(tally.shed > 0, "no burst ever went past the admission cap");
+    assert!(
+        tally.bootstraps > SESSIONS as u64,
+        "the session cache must evict"
+    );
+    assert!(
+        posted.iter().filter(|&&p| p).count() > 64,
+        "the snapshot cache must evict"
+    );
+    for mut stream in parked {
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        if !response.is_empty() {
+            assert_eq!(parse_response(&response).0, 408, "{response:?}");
+        }
+    }
+
+    // Drain: every connection opened so far is counted once its handler
+    // starts; a metrics request counts itself before it reads the totals.
+    wait_idle(&handle);
+    let wait = Instant::now() + Duration::from_secs(10);
+    let metrics = loop {
+        let (status, body) = soak_send(addr, &mut tally, b"GET /metrics HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 200, "{body}");
+        let requests = metrics_counter(&body, "serve.requests");
+        assert!(
+            requests <= tally.opened,
+            "{requests} requests, {} connections",
+            tally.opened
+        );
+        if requests == tally.opened {
+            break body;
+        }
+        assert!(
+            Instant::now() < wait,
+            "{requests} of {} connections counted",
+            tally.opened
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+
+    // The soak runs more cleans than the span log keeps phase spans for.
+    let spans = metrics.matches("\"wall_ms\"").count();
+    assert_eq!(spans, 4_096, "the span log is full, and no fuller");
+    assert!(metrics.contains("\"serve.queue_depth\": 0"), "{metrics}");
+    assert_eq!(
+        metrics_counter(&metrics, "serve.sessions_evicted"),
+        tally.bootstraps - SESSIONS as u64
+    );
+    assert_eq!(metrics_counter(&metrics, "serve.shed"), tally.shed);
+    let snapshots = metrics_counter(&metrics, "serve.snapshot_hit")
+        + metrics_counter(&metrics, "serve.snapshot_miss");
+    assert_eq!(snapshots, tally.cleans - tally.shed, "every admitted clean");
+    let distinct = posted.iter().filter(|&&p| p).count() as u64 + 1;
+    assert!(
+        metrics_counter(&metrics, "serve.snapshot_miss") > distinct,
+        "an evicted body is built again"
+    );
+    handle.shutdown();
+    join.join().expect("clean exit");
 }
 
 #[test]
