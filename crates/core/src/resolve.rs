@@ -215,6 +215,8 @@ impl TableResolution {
         self.recorder
             .incr_by(Counter::KbLabelPostingsScanned, search.postings_scanned);
         self.recorder
+            .incr_by(Counter::KbLabelCandidatesKept, search.candidates_kept);
+        self.recorder
             .incr_by(Counter::KbLabelCandidatesScored, search.candidates_scored);
     }
 

@@ -12,7 +12,8 @@
 //!   or same-row cell pair the discovery scan visits — not snapshot
 //!   cache traffic;
 //! * the label-search counters count fuzzy lookups, one per distinct
-//!   value the exact label index misses;
+//!   value the exact label index misses, and narrow from postings read
+//!   to candidates kept to distances computed;
 //! * the deterministic section of [`RunMetrics`] is byte-identical
 //!   across worker-pool sizes — the CI gate's contract, asserted here
 //!   at the library level.
@@ -272,7 +273,8 @@ fn label_search_counts_one_fuzzy_lookup_per_unlabelled_value() {
     assert!(unlabelled > 0, "the corpus table has no fuzzy values");
     assert_eq!(m.counter("kb.label_fuzzy_lookups"), unlabelled);
     assert!(m.counter("kb.label_postings_scanned") > 0);
-    assert!(m.counter("kb.label_candidates_scored") <= m.counter("kb.label_postings_scanned"));
+    assert!(m.counter("kb.label_candidates_scored") <= m.counter("kb.label_candidates_kept"));
+    assert!(m.counter("kb.label_candidates_kept") <= m.counter("kb.label_postings_scanned"));
 }
 
 #[test]

@@ -9,16 +9,24 @@
 //! The fuzzy search returns exactly what scoring every prefiltered label
 //! with [`sim::similarity`] would, at a fraction of the work:
 //!
-//! * the normalized labels live in one packed arena, with per-slot end
-//!   offsets, char counts and distinct-trigram counts;
+//! * the normalized labels live in one packed arena. Per slot, an end
+//!   offset and one packed word hold the rest: the label's char signature
+//!   ([`sim::char_signature`]), its char count and its distinct-trigram
+//!   count;
 //! * shared trigrams are counted in a dense per-lookup vector indexed by
-//!   slot. A slot sits once in the posting list of each of its distinct
-//!   grams, so its count *is* `|Q ∩ L|`, and the Jaccard arm follows from
-//!   the two set sizes without touching the label;
-//! * the count also bounds the OSA distance from below (one edit kills at
-//!   most four padded windows), which caps the Levenshtein arm. When that
-//!   cap cannot beat the Jaccard arm or reach the threshold, the label's
-//!   score is settled without computing a distance;
+//!   slot, and a slot joins the candidates when its count reaches the
+//!   quarter-of-grams floor. A slot sits once in the posting list of each
+//!   of its distinct grams, so its count *is* `|Q ∩ L|`, and the Jaccard
+//!   arm follows from the two set sizes without touching the label;
+//! * three exact lower bounds on the OSA distance cap the Levenshtein arm:
+//!   the length difference, the count (one edit kills at most four padded
+//!   windows) and the char sets (each char one string lacks costs an
+//!   edit, [`sim::char_set_bound`]);
+//! * a label whose Jaccard arm and Levenshtein cap both miss the threshold
+//!   is rejected by integer comparisons against per-query tables, built
+//!   with the same `f64` expressions the score uses. When the cap cannot
+//!   beat the Jaccard arm or reach the threshold, the label's score is
+//!   settled without computing a distance;
 //! * the remaining labels get an exact distance from the bit-vector
 //!   kernel ([`sim::OsaPattern`]), whose masks are built once per query.
 //!
@@ -53,6 +61,9 @@ pub struct LabelSearchStats {
     pub fuzzy_lookups: u64,
     /// Posting-list entries read while counting shared trigrams.
     pub postings_scanned: u64,
+    /// Labels that reached the quarter-of-grams floor: the candidates the
+    /// bounds and the score then visit.
+    pub candidates_kept: u64,
     /// Labels whose OSA distance was computed: those the prefilter kept
     /// and the score bound could not settle.
     pub candidates_scored: u64,
@@ -62,21 +73,30 @@ impl AddAssign for LabelSearchStats {
     fn add_assign(&mut self, other: Self) {
         self.fuzzy_lookups += other.fuzzy_lookups;
         self.postings_scanned += other.postings_scanned;
+        self.candidates_kept += other.candidates_kept;
         self.candidates_scored += other.candidates_scored;
     }
 }
 
-/// Where one slot's normalized label sits in the arena, and its sizes.
+/// Where one slot's normalized label sits in the arena, and its shape.
 #[derive(Debug, Clone, Copy)]
 struct SlotLabel {
     /// Byte offset one past the label's end; it starts where the previous
     /// slot's label ends.
     end: usize,
-    /// Length in chars.
-    chars: usize,
-    /// Number of distinct padded trigrams.
-    grams: usize,
+    /// The label's [`sim::char_signature`] in the low
+    /// [`sim::CHAR_SIGNATURE_BITS`] bits, then its length in chars and its
+    /// number of distinct padded trigrams, 8 bits each. A count of
+    /// [`SATURATED`] or more reads [`SATURATED`], and the label's own text
+    /// gives it.
+    shape: u64,
 }
+
+/// The largest count a [`SlotLabel::shape`] field holds.
+const SATURATED: usize = 0xFF;
+const CHARS_SHIFT: u32 = sim::CHAR_SIGNATURE_BITS;
+const GRAMS_SHIFT: u32 = CHARS_SHIFT + 8;
+const SIGNATURE: u64 = (1 << sim::CHAR_SIGNATURE_BITS) - 1;
 
 /// An inverted index from labels to resources.
 ///
@@ -124,11 +144,14 @@ impl Slots {
         for &g in &grams {
             self.grams.entry(g).or_default().push(s);
         }
+        let count = |n: usize| n.min(SATURATED) as u64;
+        let shape = sim::char_signature(&norm)
+            | count(norm.chars().count()) << CHARS_SHIFT
+            | count(grams.len()) << GRAMS_SHIFT;
         self.arena.push_str(&norm);
         self.labels.push(SlotLabel {
             end: self.arena.len(),
-            chars: norm.chars().count(),
-            grams: grams.len(),
+            shape,
         });
         self.resources.push(Vec::new());
         self.slot_of.insert(norm, s);
@@ -139,6 +162,21 @@ impl Slots {
     fn label(&self, i: usize) -> &str {
         let start = i.checked_sub(1).map_or(0, |prev| self.labels[prev].end);
         &self.arena[start..self.labels[i].end]
+    }
+
+    /// This part's `i`-th slot's length in chars, number of distinct
+    /// padded trigrams and char signature.
+    fn shape(&self, i: usize) -> (usize, usize, u64) {
+        let shape = self.labels[i].shape;
+        let field = |shift: u32| (shape >> shift) as usize & SATURATED;
+        let (mut chars, mut grams) = (field(CHARS_SHIFT), field(GRAMS_SHIFT));
+        if chars == SATURATED {
+            chars = self.label(i).chars().count();
+        }
+        if grams == SATURATED {
+            grams = sim::sorted_trigrams(self.label(i)).len();
+        }
+        (chars, grams, shape & SIGNATURE)
     }
 }
 
@@ -303,8 +341,10 @@ impl LabelIndex {
             fuzzy_lookups: 1,
             ..LabelSearchStats::default()
         };
+        let q_grams = qgrams.len();
+        let min_shared = (q_grams / 4).max(1);
         let mut shared = vec![C::default(); self.len()];
-        let mut touched: Vec<u32> = Vec::new();
+        let mut kept: Vec<u32> = Vec::new();
         for g in qgrams {
             // The added slots' postings follow the base's, as one list
             // of an index built from scratch would.
@@ -315,44 +355,46 @@ impl LabelIndex {
                 stats.postings_scanned += posting.len() as u64;
                 for &s in posting {
                     let count = &mut shared[s as usize];
-                    if count.get() == 0 {
-                        touched.push(s);
-                    }
                     count.bump();
+                    if count.get() == min_shared {
+                        kept.push(s);
+                    }
                 }
             }
         }
+        stats.candidates_kept = kept.len() as u64;
 
-        let q_grams = qgrams.len();
-        let min_shared = (q_grams / 4).max(1);
         let q_chars = norm.chars().count();
         // Repeated padded windows of the query: `q_chars + 2` windows, of
         // which `q_grams` are distinct.
         let q_repeats = q_chars + 2 - q_grams;
+        let q_signature = sim::char_signature(norm);
+        let cuts = Cuts::new(q_chars, q_grams, min_shared, threshold);
         let pattern = sim::OsaPattern::new(norm);
         let mut hits: Vec<(u32, f64)> = Vec::new();
-        for s in touched {
+        for s in kept {
             let inter = shared[s as usize].get();
-            if inter < min_shared {
+            let (part, i) = self.part(s);
+            let (l_chars, l_grams, l_signature) = part.shape(i);
+            let max_len = q_chars.max(l_chars);
+            // OSA distance lower bounds: the length difference; the count
+            // (the longer string's `max_len + 2` padded windows keep at
+            // least `max_len + 2 − 4d` in the other string, and those are
+            // at most `inter + q_repeats` windows); and the char sets.
+            let d_low = q_chars
+                .abs_diff(l_chars)
+                .max((max_len + 2).saturating_sub(inter + q_repeats).div_ceil(4))
+                .max(sim::char_set_bound(q_signature, l_signature));
+            if !cuts.may_reach(inter, l_grams, l_chars, d_low) {
                 continue;
             }
-            let (part, i) = self.part(s);
-            let meta = part.labels[i];
-            let jaccard = inter as f64 / (q_grams + meta.grams - inter) as f64;
-            let max_len = q_chars.max(meta.chars);
+            let jaccard = jaccard(inter, q_grams, l_grams);
             // Equal gram sets are necessary for equal strings, and cheap.
-            let equal = inter == q_grams && meta.grams == q_grams && part.label(i) == norm;
+            let equal = inter == q_grams && l_grams == q_grams && part.label(i) == norm;
             let score = if equal {
                 1.0
             } else {
-                // OSA distance lower bound: the longer string's
-                // `max_len + 2` padded windows keep at least
-                // `max_len + 2 − 4d` in the other string, and those are
-                // at most `inter + q_repeats` windows.
-                let d_low = q_chars
-                    .abs_diff(meta.chars)
-                    .max((max_len + 2).saturating_sub(inter + q_repeats).div_ceil(4));
-                let lev_up = 1.0 - d_low as f64 / max_len as f64;
+                let lev_up = levenshtein_sim(d_low, max_len);
                 if lev_up < threshold.max(jaccard) || lev_up <= jaccard {
                     // The Levenshtein arm cannot win the max, or the
                     // score misses the threshold either way.
@@ -364,7 +406,7 @@ impl LabelIndex {
                         Some(p) => p.distance(label),
                         None => sim::levenshtein(norm, label),
                     };
-                    (1.0 - d as f64 / max_len as f64).max(jaccard)
+                    levenshtein_sim(d, max_len).max(jaccard)
                 }
             };
             if score >= threshold {
@@ -372,6 +414,106 @@ impl LabelIndex {
             }
         }
         (hits, stats)
+    }
+}
+
+/// The Jaccard arm of a label with `l_grams` distinct grams, `inter` of
+/// them shared with the query's `q_grams`.
+fn jaccard(inter: usize, q_grams: usize, l_grams: usize) -> f64 {
+    inter as f64 / (q_grams + l_grams - inter) as f64
+}
+
+/// The Levenshtein arm at OSA distance `d` between strings of at most
+/// `max_len` chars.
+fn levenshtein_sim(d: usize, max_len: usize) -> f64 {
+    1.0 - d as f64 / max_len as f64
+}
+
+/// One query's cut tables: integer tests, built with the score's own
+/// `f64` expressions, that reject a label whose Jaccard arm and
+/// Levenshtein cap both miss the threshold. Its score is then below the
+/// threshold whatever its distance, so rejecting it changes no hit.
+struct Cuts {
+    q_chars: usize,
+    /// Per shared count from the floor up, the most distinct grams a
+    /// label may have for its Jaccard arm to reach the threshold.
+    most_grams: Vec<usize>,
+    /// Per number of chars the label is longer than the query (0 for a
+    /// label no longer than it): how many distance bounds, counting up
+    /// from 0, leave the Levenshtein cap at or above the threshold.
+    reaching_bounds: Vec<usize>,
+    /// Whether a label longer than `reaching_bounds` covers may still
+    /// reach the threshold by its cap.
+    longer_may_reach: bool,
+}
+
+impl Cuts {
+    fn new(q_chars: usize, q_grams: usize, min_shared: usize, threshold: f64) -> Self {
+        let reaches = |score: f64| score >= threshold;
+        // The Jaccard arm falls as the label's gram count grows; a count
+        // past this one is never cut.
+        let gram_cap = usize::MAX / 4;
+        let most_grams = (0..=q_grams)
+            .map(|inter| {
+                let jaccard_reaches = |l_grams| reaches(jaccard(inter, q_grams, l_grams));
+                if inter < min_shared || !jaccard_reaches(inter) {
+                    // A label shares at most its own grams: `l_grams ≥ inter`.
+                    0
+                } else if jaccard_reaches(gram_cap) {
+                    usize::MAX
+                } else {
+                    let (mut lo, mut hi) = (inter, gram_cap);
+                    while hi - lo > 1 {
+                        let mid = lo + (hi - lo) / 2;
+                        if jaccard_reaches(mid) {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    lo
+                }
+            })
+            .collect();
+        // The cap falls as the bound grows and rises with `max_len`, so
+        // each row's count starts from the previous row's. Once the
+        // length difference alone misses the threshold, it misses it for
+        // every longer label too. Below a threshold of 0.5 that can take
+        // more than twice the query's length; longer labels are then not
+        // cut on this arm.
+        let mut reaching_bounds = Vec::new();
+        let mut reached = 0;
+        let longer_may_reach = loop {
+            let longer = reaching_bounds.len();
+            let max_len = q_chars + longer;
+            if longer > 0 && !reaches(levenshtein_sim(longer, max_len)) {
+                break false;
+            }
+            if longer > q_chars {
+                break true;
+            }
+            while reached <= max_len && reaches(levenshtein_sim(reached, max_len)) {
+                reached += 1;
+            }
+            reaching_bounds.push(reached);
+        };
+        Cuts {
+            q_chars,
+            most_grams,
+            reaching_bounds,
+            longer_may_reach,
+        }
+    }
+
+    /// Whether a label sharing `inter` grams, with `l_grams` distinct
+    /// grams, `l_chars` chars and an OSA distance of at least `d_low`, may
+    /// score at or above the threshold by either arm.
+    fn may_reach(&self, inter: usize, l_grams: usize, l_chars: usize, d_low: usize) -> bool {
+        l_grams <= self.most_grams[inter]
+            || self
+                .reaching_bounds
+                .get(l_chars.saturating_sub(self.q_chars))
+                .map_or(self.longer_may_reach, |&reached| d_low < reached)
     }
 }
 

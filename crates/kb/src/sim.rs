@@ -188,6 +188,36 @@ impl OsaPattern {
     }
 }
 
+/// The bits a [`char_signature`] uses: the low 48 of a `u64`.
+pub const CHAR_SIGNATURE_BITS: u32 = 48;
+
+/// The signature bit of `c`: one per ASCII letter and digit, and the last
+/// twelve shared by every other char.
+fn char_bit(c: char) -> u32 {
+    match c {
+        'a'..='z' => c as u32 - 'a' as u32,
+        '0'..='9' => 26 + (c as u32 - '0' as u32),
+        _ => 36 + c as u32 % 12,
+    }
+}
+
+/// The set of chars of `s`, hashed into the low [`CHAR_SIGNATURE_BITS`]
+/// bits of a word. Distinct set bits stand for distinct chars.
+pub fn char_signature(s: &str) -> u64 {
+    s.chars().fold(0, |sig, c| sig | 1 << char_bit(c))
+}
+
+/// A lower bound on the OSA distance of two strings from their
+/// [`char_signature`]s. Each distinct char of one string that the other
+/// lacks needs an edit of its own: a substitution or deletion on one side,
+/// a substitution or insertion on the other, and a transposition keeps
+/// both its chars. One substitution can serve both sides at once, so the
+/// bound is the larger side, and a bit one signature has and the other
+/// lacks stands for at least one such char.
+pub fn char_set_bound(a: u64, b: u64) -> usize {
+    (a & !b).count_ones().max((b & !a).count_ones()) as usize
+}
+
 /// Normalized Levenshtein similarity in `[0, 1]`:
 /// `1 - dist / max(len_a, len_b)`. Two empty strings are fully similar.
 pub fn levenshtein_sim(a: &str, b: &str) -> f64 {

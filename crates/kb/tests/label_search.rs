@@ -8,12 +8,17 @@
 //! 1. **Kernel == DP.** [`sim::OsaPattern`] and [`sim::levenshtein`] equal
 //!    the dynamic program [`sim::levenshtein_dp`] on random pairs of 0–70
 //!    chars over small alphabets (ASCII and not), where transpositions and
-//!    repeated trigrams are common.
+//!    repeated trigrams are common, and over a wide one. The char-set
+//!    bound [`sim::char_set_bound`] never exceeds the DP distance, on
+//!    random pairs and on pairs a few edits apart.
 //! 2. **Lookup == brute force.** [`LabelIndex::lookup`] equals a scan of
 //!    every slot — quarter-of-grams prefilter, `max(DP levenshtein_sim,
 //!    trigram_jaccard)`, sorted by (score desc, slot asc) — in resources,
 //!    order and score bits, at thresholds 0.5, 0.7 and 0.9. The search's
-//!    work counts are checked against the same scan.
+//!    work counts are checked against the same scan. The wide alphabet
+//!    sets every char-signature bit, so labels differ in their char sets
+//!    and the char-set bound cuts; labels longer than a packed count
+//!    field holds take the index's fallback to the label text.
 //! 3. **Clone == scratch.** Entities added to a clone of a finalized store
 //!    (new labels and homonyms of its labels, which the clone keeps out
 //!    of the shared base) resolve exactly and fuzzily like a store built
@@ -35,14 +40,28 @@ fn fuzz_cases(default: u32) -> u32 {
 }
 
 /// Small alphabets: few symbols make transpositions and repeated grams
-/// likely. Spaces and capitals exercise normalization in the lookups.
-const ALPHABETS: [&[char]; 5] = [
+/// likely. Spaces and capitals exercise normalization in the lookups. The
+/// last is [`WIDE`].
+const ALPHABETS: [&[char]; 6] = [
     &['a', 'b'],
     &['a', 'b', 'c'],
     &['a', 'é', '日'],
     &['x', 'ñ', 'Y', ' '],
     &['a', 'b', ' ', 'C', 'ß'],
+    WIDE,
 ];
+
+/// One symbol per char-signature bit: the letters, the digits, and twelve
+/// chars whose code points cover the twelve bits every other char shares.
+/// Two more share a bit with one of those: `Q` once normalized, and `日`.
+const WIDE: &[char] = &[
+    'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 'q', 'r', 's',
+    't', 'u', 'v', 'w', 'x', 'y', 'z', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', ' ', '-',
+    '.', 'ä', 'å', 'æ', 'ç', 'è', 'é', 'ê', 'ë', 'ï', 'Q', '日',
+];
+
+/// Symbol picks span every alphabet in full (`% alphabet.len()`).
+const PICKS: usize = 64;
 
 fn spell(alphabet: &[char], picks: &[usize]) -> String {
     picks
@@ -182,6 +201,7 @@ fn check_query(idx: &LabelIndex, slots: &[(String, Vec<ResourceId>)], query: &st
         let (_, stats) = idx.search_normalized(&sim::normalize(query), threshold);
         assert_eq!(stats.fuzzy_lookups, 1);
         assert_eq!(stats.postings_scanned, expect.postings, "query {query:?}");
+        assert_eq!(stats.candidates_kept, expect.survivors, "query {query:?}");
         assert!(
             stats.candidates_scored <= expect.survivors,
             "query {query:?}: {} distances for {} survivors",
@@ -191,18 +211,41 @@ fn check_query(idx: &LabelIndex, slots: &[(String, Vec<ResourceId>)], query: &st
     }
 }
 
+/// A drawn query: which word, and the edits [`perturb`] applies to it.
+type Query = (usize, Vec<(usize, usize, usize)>);
+
+/// Index the `words` that `entries` draw, and check each query, a word
+/// after its edits, against the brute-force scan.
+fn check_lookups(alphabet: &[char], words: &[String], entries: &[(usize, u32)], queries: &[Query]) {
+    // Homonyms: several entries may draw the same word (or words that
+    // normalize alike) for different resources.
+    let entries: Vec<(String, u32)> = entries
+        .iter()
+        .map(|&(w, r)| (words[w % words.len()].clone(), r))
+        .collect();
+    let idx = index_of(&entries);
+    let slots = reference_slots(&entries);
+    assert_eq!(idx.len(), slots.len());
+    for (w, edits) in queries {
+        let query = perturb(&words[w % words.len()], edits, alphabet);
+        check_query(&idx, &slots, &query);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases(256)))]
 
     #[test]
     fn kernel_equals_dp(
         alphabet in 0usize..ALPHABETS.len(),
-        a in prop::collection::vec(0usize..8, 0..71),
-        b in prop::collection::vec(0usize..8, 0..71),
+        a in prop::collection::vec(0usize..PICKS, 0..71),
+        b in prop::collection::vec(0usize..PICKS, 0..71),
     ) {
         let alphabet = ALPHABETS[alphabet];
         let (a, b) = (spell(alphabet, &a), spell(alphabet, &b));
         let expect = sim::levenshtein_dp(&a, &b);
+        let bound = sim::char_set_bound(sim::char_signature(&a), sim::char_signature(&b));
+        prop_assert!(bound <= expect, "{:?}/{:?}: bound {} over {}", a, b, bound, expect);
         prop_assert_eq!(sim::levenshtein(&a, &b), expect, "{:?}/{:?}", a, b);
         prop_assert_eq!(sim::levenshtein(&b, &a), expect, "{:?}/{:?}", b, a);
         // Either string as the pattern, whatever the text's length.
@@ -214,40 +257,66 @@ proptest! {
     }
 
     #[test]
+    fn char_set_bound_never_exceeds_the_distance(
+        alphabet in 0usize..ALPHABETS.len(),
+        word in prop::collection::vec(0usize..PICKS, 0..24),
+        edits in prop::collection::vec((0usize..5, 0usize..64, 0usize..PICKS), 0..6),
+    ) {
+        // A few edits apart, the bound is often tight: one substitution
+        // of a char the word holds once, by one it lacks, costs 1 on each
+        // side, and a bound that summed the sides would claim 2.
+        let alphabet = ALPHABETS[alphabet];
+        let a = spell(alphabet, &word);
+        let b = perturb(&a, &edits, alphabet);
+        let bound = sim::char_set_bound(sim::char_signature(&a), sim::char_signature(&b));
+        prop_assert!(bound <= sim::levenshtein_dp(&a, &b), "{:?}/{:?}", a, b);
+    }
+
+    #[test]
     fn lookup_equals_brute_force(
         alphabet in 0usize..ALPHABETS.len(),
-        words in prop::collection::vec(prop::collection::vec((0usize..8, 1usize..7), 0..6), 1..24),
+        words in prop::collection::vec(
+            prop::collection::vec((0usize..PICKS, 1usize..7), 0..6),
+            1..24,
+        ),
         entries in prop::collection::vec((0usize..64, 0u32..24), 1..48),
         queries in prop::collection::vec(
-            (0usize..64, prop::collection::vec((0usize..5, 0usize..64, 0usize..8), 0..4)),
+            (0usize..64, prop::collection::vec((0usize..5, 0usize..64, 0usize..PICKS), 0..4)),
             1..6,
         ),
     ) {
         let alphabet = ALPHABETS[alphabet];
         let words: Vec<String> = words.iter().map(|w| spell_runs(alphabet, w)).collect();
-        // Homonyms: several entries may draw the same word (or words that
-        // normalize alike) for different resources.
-        let entries: Vec<(String, u32)> = entries
-            .iter()
-            .map(|&(w, r)| (words[w % words.len()].clone(), r))
-            .collect();
-        let idx = index_of(&entries);
-        let slots = reference_slots(&entries);
-        prop_assert_eq!(idx.len(), slots.len());
-        for (w, edits) in &queries {
-            let query = perturb(&words[w % words.len()], edits, alphabet);
-            check_query(&idx, &slots, &query);
-        }
+        check_lookups(alphabet, &words, &entries, &queries);
+    }
+
+    #[test]
+    fn wide_lookup_equals_brute_force(
+        words in prop::collection::vec(prop::collection::vec(0usize..PICKS, 0..24), 1..24),
+        entries in prop::collection::vec((0usize..64, 0u32..24), 1..48),
+        queries in prop::collection::vec(
+            (0usize..64, prop::collection::vec((0usize..5, 0usize..64, 0usize..PICKS), 0..4)),
+            1..6,
+        ),
+    ) {
+        // Plain words over the wide alphabet hold most of their chars
+        // once, so an edit often adds or removes a char, and the char-set
+        // bound is often tight.
+        let words: Vec<String> = words.iter().map(|w| spell(WIDE, w)).collect();
+        check_lookups(WIDE, &words, &entries, &queries);
     }
 
     #[test]
     fn clone_additions_resolve_like_a_store_built_with_them(
         alphabet in 0usize..ALPHABETS.len(),
-        words in prop::collection::vec(prop::collection::vec((0usize..8, 1usize..7), 0..6), 1..16),
+        words in prop::collection::vec(
+            prop::collection::vec((0usize..PICKS, 1usize..7), 0..6),
+            1..16,
+        ),
         base in prop::collection::vec(0usize..64, 1..24),
         added in prop::collection::vec(0usize..64, 1..12),
         queries in prop::collection::vec(
-            (0usize..64, prop::collection::vec((0usize..5, 0usize..64, 0usize..8), 0..4)),
+            (0usize..64, prop::collection::vec((0usize..5, 0usize..64, 0usize..PICKS), 0..4)),
             1..6,
         ),
     ) {
@@ -358,6 +427,44 @@ fn long_queries_take_the_dp_path() {
     ] {
         assert!(query.chars().count() > 64);
         assert!(sim::OsaPattern::new(&query).is_none());
+        check_query(&idx, &slots, &query);
+    }
+}
+
+#[test]
+fn the_wide_alphabet_sets_every_signature_bit() {
+    let all: String = WIDE.iter().collect();
+    let bits = sim::char_signature(&sim::normalize(&all));
+    assert_eq!(bits, (1u64 << sim::CHAR_SIGNATURE_BITS) - 1);
+}
+
+#[test]
+fn labels_longer_than_a_packed_count_read_their_own_text() {
+    // The index packs each label's char and distinct-gram counts into 8
+    // bits each and reads a saturated one off the label. Lengths around
+    // the 255 line: a 253- or 254-char label over the wide alphabet has
+    // nearly every padded window distinct, so its gram count saturates
+    // while its char count does not; a long run saturates only the char
+    // count.
+    let long = lcg_string(5, 260, WIDE);
+    let mut entries: Vec<(String, u32)> = (250..=260)
+        .map(|n| long.chars().take(n).collect::<String>())
+        .zip(0u32..)
+        .collect();
+    entries.push(("a".repeat(300), 20));
+    entries.push((format!("{}b", "a".repeat(299)), 21));
+    let idx = index_of(&entries);
+    let slots = reference_slots(&entries);
+    let prefix = |n: usize| long.chars().take(n).collect::<String>();
+    for query in [
+        prefix(255),
+        perturb(&prefix(254), &[(0, 7, 3), (3, 100, 0)], WIDE),
+        perturb(&prefix(256), &[(2, 30, 0), (1, 200, 47)], WIDE),
+        perturb(&long, &[(0, 0, 12), (0, 90, 13), (0, 180, 14)], WIDE),
+        prefix(40),
+        "a".repeat(298),
+        format!("{}c", "a".repeat(300)),
+    ] {
         check_query(&idx, &slots, &query);
     }
 }

@@ -105,6 +105,7 @@ metric_enum! {
         JournalFsyncs => "journal.fsyncs",
         JournalReplayedRecords => "journal.replayed_records",
         JournalRetries => "journal.retries",
+        KbLabelCandidatesKept => "kb.label_candidates_kept",
         KbLabelCandidatesScored => "kb.label_candidates_scored",
         KbLabelFuzzyLookups => "kb.label_fuzzy_lookups",
         KbLabelPostingsScanned => "kb.label_postings_scanned",
