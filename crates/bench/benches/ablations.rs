@@ -162,10 +162,7 @@ fn bench_enrichment(c: &mut Criterion) {
                     &pattern,
                     &mut kb,
                     &mut crowd,
-                    &AnnotationConfig {
-                        enrich_kb: enrich,
-                        ..AnnotationConfig::default()
-                    },
+                    &AnnotationConfig { enrich_kb: enrich },
                 )
             })
         });

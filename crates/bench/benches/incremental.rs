@@ -43,10 +43,7 @@ fn min_iters() -> usize {
 /// iterations see the same store).
 fn pipeline_config(recorder: Option<Arc<RunRecorder>>) -> KataraConfig {
     let mut config = KataraConfig {
-        annotation: AnnotationConfig {
-            enrich_kb: false,
-            ..AnnotationConfig::default()
-        },
+        annotation: AnnotationConfig { enrich_kb: false },
         validation: ValidationConfig {
             questions_per_variable: 1,
             ..ValidationConfig::default()

@@ -23,10 +23,7 @@ use katara_core::{Katara, KataraConfig};
 /// resolution work.
 fn bench_config() -> KataraConfig {
     KataraConfig {
-        annotation: AnnotationConfig {
-            enrich_kb: false,
-            ..AnnotationConfig::default()
-        },
+        annotation: AnnotationConfig { enrich_kb: false },
         validation: ValidationConfig {
             questions_per_variable: 1,
             ..ValidationConfig::default()

@@ -4,25 +4,42 @@
 //! warm (the daemon's snapshot cache hits), at concurrency 1 and 2.
 //! Emits `BENCH_serve.json` at the workspace root with requests/s and
 //! p50/p99 latencies per batch (quick mode via `KATARA_BENCH_QUICK=1`),
-//! and embeds the daemon's own metrics after its first `/clean`.
+//! and embeds the daemon's own metrics after its first `/clean`. In full
+//! mode each batch follows an unmeasured window of the same requests and
+//! then keeps issuing requests for a window of its own, so a warm p50
+//! rests on about a hundred requests of a settled daemon, not twenty.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use katara_bench::perf::{self, Field};
 use katara_bench::resolve_fixture;
 use katara_serve::{ServePolicy, Server, ServerConfig};
 
-/// Requests per measured batch.
+/// The fewest requests a measured batch issues.
 fn batch_requests() -> usize {
     if perf::quick_mode() {
         6
     } else {
         20
+    }
+}
+
+/// How long a batch, and the unmeasured window before it, keep issuing
+/// requests past their minimum count. A warm request alternates between
+/// about 80 and about 120 ms for the first few dozen of its kind before
+/// it settles, so twenty of them (two seconds) gave warm p50s 153 and 81
+/// ms in two runs.
+fn batch_window() -> Duration {
+    if perf::quick_mode() {
+        Duration::ZERO
+    } else {
+        Duration::from_secs(10)
     }
 }
 
@@ -49,28 +66,30 @@ fn request(addr: SocketAddr, path: &str, body: &[u8]) -> (u16, f64) {
     (status, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Run one batch of `n` requests across `concurrency` client threads;
-/// returns (per-request latencies in ms, total wall ms).
+/// Run one batch across `concurrency` client threads: at least `n`
+/// requests, and more until `window` has passed. Returns (per-request
+/// latencies in ms, total wall ms).
 fn run_batch(
     addr: SocketAddr,
     path: &str,
     body: &[u8],
     n: usize,
+    window: Duration,
     concurrency: usize,
 ) -> (Vec<f64>, f64) {
     let latencies: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
     let body: Arc<Vec<u8>> = Arc::new(body.to_vec());
     let path = path.to_string();
+    let issued = Arc::new(AtomicUsize::new(0));
     let start = Instant::now();
-    let per_thread = n.div_ceil(concurrency);
     let workers: Vec<_> = (0..concurrency)
-        .map(|w| {
+        .map(|_| {
             let latencies = Arc::clone(&latencies);
             let body = Arc::clone(&body);
             let path = path.clone();
-            let count = per_thread.min(n.saturating_sub(w * per_thread));
+            let issued = Arc::clone(&issued);
             std::thread::spawn(move || {
-                for _ in 0..count {
+                while issued.fetch_add(1, Ordering::Relaxed) < n || start.elapsed() < window {
                     let (status, ms) = request(addr, &path, &body);
                     assert!(
                         status == 200 || status == 206,
@@ -134,10 +153,12 @@ fn bench_serve(c: &mut Criterion) {
     group.finish();
 
     let mut report = perf::Report::new("serve", &fixture.name);
-    let n = batch_requests();
+    let (n, window) = (batch_requests(), batch_window());
     for concurrency in CONCURRENCY {
         for (config, path) in [("cold", "/clean?snapshot=cold"), ("warm", "/clean")] {
-            let (lat, wall) = run_batch(addr, path, &body, n, concurrency);
+            // Unmeasured: lets the daemon settle (see `batch_window`).
+            run_batch(addr, path, &body, 0, window, concurrency);
+            let (lat, wall) = run_batch(addr, path, &body, n, window, concurrency);
             let (req_per_s, p50_ms, p99_ms) = perf::batch_rates(&lat, wall);
             report.samples.push(vec![
                 ("config", Field::str(config)),

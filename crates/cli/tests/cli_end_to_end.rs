@@ -372,15 +372,15 @@ fn lenient_flag_parses() {
     }
 }
 
-/// Run `clean --metrics` on the Figure 1 fixture and return the metrics
-/// file body.
-fn clean_with_metrics(dir: &std::path::Path, tag: &str, threads: usize) -> String {
+/// Run `clean --metrics` on `table_csv` over the Figure 1 KB and return
+/// the metrics file body.
+fn clean_with_metrics(dir: &std::path::Path, tag: &str, table_csv: &str, threads: usize) -> String {
     let kb = dir.join("kb.nt");
     let table = dir.join("t.csv");
     let facts = dir.join("facts.tsv");
     let metrics = dir.join(format!("metrics-{tag}.json"));
     std::fs::write(&kb, KB_NT).unwrap();
-    std::fs::write(&table, TABLE_CSV).unwrap();
+    std::fs::write(&table, table_csv).unwrap();
     std::fs::write(&facts, FACTS_TSV).unwrap();
     let args: Vec<String> = [
         "clean",
@@ -413,8 +413,8 @@ fn deterministic_half(doc: &str) -> &str {
 #[test]
 fn metrics_flag_writes_deterministic_run_metrics() {
     let dir = tmpdir("metrics");
-    let one = clean_with_metrics(&dir, "t1", 1);
-    let eight = clean_with_metrics(&dir, "t8", 8);
+    let one = clean_with_metrics(&dir, "t1", TABLE_CSV, 1);
+    let eight = clean_with_metrics(&dir, "t8", TABLE_CSV, 8);
 
     assert!(
         one.contains("\"schema\": \"katara-run-metrics/v1\""),
@@ -430,6 +430,26 @@ fn metrics_flag_writes_deterministic_run_metrics() {
 
     // The determinism contract CI enforces, in miniature: the whole
     // deterministic section is byte-identical across thread counts.
+    assert_eq!(deterministic_half(&one), deterministic_half(&eight));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The typo'd copy of the Figure 1 table CI cleans: `Rosi`, `Itly` and
+/// `Madird` have no exact label, so they go through the fuzzy label
+/// search, whose output must not depend on the thread count either.
+#[test]
+fn typod_cells_run_the_fuzzy_label_search_deterministically() {
+    let typos = include_str!("../../../examples/data/soccer_typos.csv");
+    let dir = tmpdir("metrics-typos");
+    let one = clean_with_metrics(&dir, "t1", typos, 1);
+    let eight = clean_with_metrics(&dir, "t8", typos, 8);
+    let fuzzy = one
+        .split("\"kb.label_fuzzy_lookups\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no kb.label_fuzzy_lookups in {one}"));
+    assert!(fuzzy >= 1, "{one}");
     assert_eq!(deterministic_half(&one), deterministic_half(&eight));
     std::fs::remove_dir_all(&dir).ok();
 }

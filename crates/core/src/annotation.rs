@@ -67,32 +67,29 @@ pub struct TupleAnnotation {
     pub edge_categories: Vec<Category>,
 }
 
+/// Pattern feedback: if the crowd rejects one pattern element (a node's
+/// type or an edge) on more than this fraction of the tuples, the
+/// element — not the data — is wrong (e.g. a `hasCapital` edge that
+/// crept onto a generic city column). The element is stripped and the
+/// table re-annotated once. This is a robustification beyond the paper:
+/// MUVF validation never challenges an edge all top-k patterns agree on.
+const FEEDBACK_THRESHOLD: f64 = 0.5;
+
+/// Minimum tuples before pattern feedback may trigger (tiny tables
+/// cannot outvote their own errors).
+const FEEDBACK_MIN_TUPLES: usize = 8;
+
 /// Annotation knobs.
 #[derive(Debug, Clone)]
 pub struct AnnotationConfig {
     /// Insert crowd-confirmed facts into the KB (§6.1 enrichment). On by
     /// default; the Table 5 ablation turns it off.
     pub enrich_kb: bool,
-    /// Pattern feedback: if the crowd rejects one pattern element (a
-    /// node's type or an edge) on more than this fraction of the tuples,
-    /// the element — not the data — is wrong (e.g. a `hasCapital` edge
-    /// that crept onto a generic city column). The element is stripped
-    /// and the table re-annotated once. Set above 1.0 to disable. This is
-    /// a robustification beyond the paper: MUVF validation never
-    /// challenges an edge all top-k patterns agree on.
-    pub feedback_threshold: f64,
-    /// Minimum tuples before feedback may trigger (tiny tables cannot
-    /// outvote their own errors).
-    pub feedback_min_tuples: usize,
 }
 
 impl Default for AnnotationConfig {
     fn default() -> Self {
-        AnnotationConfig {
-            enrich_kb: true,
-            feedback_threshold: 0.5,
-            feedback_min_tuples: 8,
-        }
+        AnnotationConfig { enrich_kb: true }
     }
 }
 
@@ -180,9 +177,10 @@ fn fractions<'a>(cats: impl Iterator<Item = &'a Category>) -> [f64; 3] {
 
 /// Annotate every tuple of `table` under `pattern`, consulting `crowd`
 /// for KB gaps and enriching `kb` with confirmed facts. When pattern
-/// feedback trips (see [`AnnotationConfig::feedback_threshold`]), the
-/// offending elements are stripped and the table re-annotated once; the
-/// effective pattern is returned in the result.
+/// feedback trips (the crowd rejects one pattern element on more than
+/// half of the tuples), the offending elements are stripped and the
+/// table re-annotated once; the effective pattern is returned in the
+/// result.
 ///
 /// The crowd's deadline ([`Crowd::deadline`]) is checked at the top of
 /// the per-row loop: rows reached after expiry are annotated
@@ -317,7 +315,7 @@ fn annotate_resolved_inner<O: Oracle>(
     let result = annotate_once(
         table, pattern, kb, crowd, config, &mut memo, view, full_rows,
     );
-    if table.num_rows() < config.feedback_min_tuples {
+    if table.num_rows() < FEEDBACK_MIN_TUPLES {
         return result;
     }
     if crowd.deadline().triggered() {
@@ -335,7 +333,7 @@ fn annotate_resolved_inner<O: Oracle>(
             .iter()
             .filter(|t| t.node_categories[ni] == Category::Error)
             .count();
-        if errors as f64 / n > config.feedback_threshold {
+        if errors as f64 / n > FEEDBACK_THRESHOLD {
             bad_nodes.push(ni);
         }
     }
@@ -345,7 +343,7 @@ fn annotate_resolved_inner<O: Oracle>(
             .iter()
             .filter(|t| t.edge_categories[ei] == Category::Error)
             .count();
-        if errors as f64 / n > config.feedback_threshold {
+        if errors as f64 / n > FEEDBACK_THRESHOLD {
             bad_edges.push(ei);
         }
     }
@@ -822,10 +820,7 @@ mod tests {
             &pattern,
             &mut kb,
             &mut crowd,
-            &AnnotationConfig {
-                enrich_kb: false,
-                ..AnnotationConfig::default()
-            },
+            &AnnotationConfig { enrich_kb: false },
         );
         assert_eq!(result.enriched_facts, 0);
         assert_eq!(result.tuples[3].status, TupleStatus::ValidatedWithCrowd);
@@ -946,7 +941,7 @@ mod tests {
 
     #[test]
     fn pattern_feedback_respects_min_tuples() {
-        // Below the feedback_min_tuples floor nothing is stripped even if
+        // Below the FEEDBACK_MIN_TUPLES floor nothing is stripped even if
         // every tuple fails.
         let (mut kb, t, pattern) = setting();
         let oracle = |_q: &Question| Answer::Bool(false);
@@ -959,7 +954,7 @@ mod tests {
         )
         .unwrap();
         let result = annotate(
-            &t, // 3 rows < feedback_min_tuples (8)
+            &t, // 3 rows < FEEDBACK_MIN_TUPLES (8)
             &pattern,
             &mut kb,
             &mut crowd,

@@ -68,6 +68,9 @@ pub struct RelCandidate {
     pub to_literal: bool,
 }
 
+/// Candidates kept per ranked list.
+const MAX_CANDIDATES: usize = 12;
+
 /// Configuration for candidate discovery.
 #[derive(Debug, Clone)]
 pub struct CandidateConfig {
@@ -84,11 +87,8 @@ pub struct CandidateConfig {
     /// incidental co-occurrence, not the column pair's semantics.
     /// Borderline spurious edges that survive (e.g. `hasCapital` on a
     /// generic city column with many capitals) are caught later by
-    /// annotation-time pattern feedback
-    /// ([`crate::annotation::AnnotationConfig::feedback_threshold`]).
+    /// annotation-time pattern feedback ([`crate::annotation`]).
     pub min_rel_support_fraction: f64,
-    /// Keep at most this many candidates per ranked list.
-    pub max_candidates: usize,
     /// Worker threads for the per-column / per-pair folds (the paper
     /// distributes candidate generation for the 316K-row Person table,
     /// §7.1). Every worker reads the same shared [`TableResolution`], so
@@ -107,7 +107,6 @@ impl Default for CandidateConfig {
             max_rows: 1000,
             min_support_fraction: 0.05,
             min_rel_support_fraction: 0.3,
-            max_candidates: 12,
             threads: Threads::auto(),
             recorder: Arc::new(NoopRecorder),
         }
@@ -499,7 +498,7 @@ fn rank_types(
             .then_with(|| kb.class_size(a.class).cmp(&kb.class_size(b.class)))
             .then_with(|| a.class.cmp(&b.class))
     });
-    list.truncate(config.max_candidates);
+    list.truncate(MAX_CANDIDATES);
     list
 }
 
@@ -536,7 +535,7 @@ fn rank_rels(
             })
             .then_with(|| a.property.cmp(&b.property))
     });
-    list.truncate(config.max_candidates);
+    list.truncate(MAX_CANDIDATES);
     list
 }
 

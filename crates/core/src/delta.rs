@@ -103,11 +103,6 @@ impl DeltaSession {
         &self.table
     }
 
-    /// The live resolution snapshot.
-    pub fn resolution(&self) -> &TableResolution {
-        &self.resolution
-    }
-
     /// The session configuration.
     pub fn config(&self) -> &KataraConfig {
         self.katara.config()
@@ -623,10 +618,7 @@ mod tests {
         let rec = Arc::new(RunRecorder::new());
         let config = KataraConfig {
             recorder: rec.clone(),
-            annotation: AnnotationConfig {
-                enrich_kb: false,
-                ..AnnotationConfig::default()
-            },
+            annotation: AnnotationConfig { enrich_kb: false },
             ..KataraConfig::default()
         };
         let mut c = crowd();

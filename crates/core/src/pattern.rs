@@ -160,13 +160,6 @@ impl TablePattern {
         c
     }
 
-    /// All covered columns (typed or edge-participating), ascending.
-    pub fn covered_columns(&self) -> Vec<usize> {
-        let mut c: Vec<usize> = self.nodes.iter().map(|n| n.column).collect();
-        c.sort_unstable();
-        c
-    }
-
     /// The connected components of the pattern graph, each as a sorted
     /// list of node indexes (indexes into [`TablePattern::nodes`]).
     /// The paper treats disconnected sub-patterns independently; repair
@@ -281,8 +274,8 @@ impl TablePattern {
         for node in &self.nodes {
             match (node.class, row.get(node.column).and_then(Value::as_str)) {
                 (Some(class), Some(cell)) => {
-                    // Same filter as `Kb::typed_candidates`: candidate
-                    // resources restricted to instances of `class`.
+                    // Candidate resources restricted to instances of
+                    // `class`.
                     let typed: Vec<ResourceId> = cell_candidates(node.column, cell)
                         .iter()
                         .filter(|&&(r, _)| kb.has_type(r, class))
@@ -736,6 +729,5 @@ mod tests {
     fn typed_and_covered_columns() {
         let (_, _, p) = fig1();
         assert_eq!(p.typed_columns(), vec![0, 1, 2]);
-        assert_eq!(p.covered_columns(), vec![0, 1, 2]);
     }
 }

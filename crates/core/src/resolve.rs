@@ -530,7 +530,7 @@ impl TableResolution {
     /// candidate lists). Re-typed values do not: pair relations read only
     /// candidates and normalized spellings.
     pub fn apply_enrichment(&mut self, kb: &Kb, ops: &[DeltaOp]) {
-        let threshold = kb.sim_threshold();
+        let threshold = katara_kb::DEFAULT_SIM_THRESHOLD;
         let live: Vec<u32> = (0..self.values.len() as u32)
             .filter(|&id| self.refcounts[id as usize] > 0)
             .collect();

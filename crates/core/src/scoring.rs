@@ -6,7 +6,7 @@
 //!          + Σ_ij ( subSC(T_i, P_ij) + objSC(T_j, P_ij) )
 //! ```
 //!
-//! The naive model (`naive_score`) drops the coherence terms; the paper's
+//! The naive model (coherence weight 0) drops the coherence terms; the paper's
 //! Example 5 shows why that misranks `economy`/`city` over
 //! `country`/`capital`. (The paper's Example 7 writes a `5 ×` factor in
 //! front of the coherence sum, but its own arithmetic — 1.0 + 0.9 + 0.9 +
@@ -70,34 +70,6 @@ pub fn score_pattern(
             coh += kb.obj_coherence(t, edge.property);
         }
         s += config.coherence_weight * coh;
-    }
-    s
-}
-
-/// The naive additive score without coherence (the strawman of §4.2).
-pub fn naive_score(cands: &CandidateSet, pattern: &TablePattern) -> f64 {
-    score_pattern_parts(cands, pattern)
-}
-
-fn score_pattern_parts(cands: &CandidateSet, pattern: &TablePattern) -> f64 {
-    let mut s = 0.0;
-    for node in pattern.nodes() {
-        if let Some(class) = node.class {
-            s += cands
-                .col_types
-                .get(node.column)
-                .and_then(|list| list.iter().find(|c| c.class == class))
-                .map(|c| c.tfidf)
-                .unwrap_or(0.0);
-        }
-    }
-    for edge in pattern.edges() {
-        s += cands
-            .rels(edge.subject, edge.object)
-            .iter()
-            .find(|c| c.property == edge.property)
-            .map(|c| c.tfidf)
-            .unwrap_or(0.0);
     }
     s
 }
@@ -184,7 +156,25 @@ mod tests {
         let cfg = ScoringConfig {
             coherence_weight: 0.0,
         };
-        assert!((score_pattern(&kb, &cands, &p, &cfg) - naive_score(&cands, &p)).abs() < 1e-12);
+        // The naive score is the tf-idf sum over the pattern's types and
+        // relationships.
+        let tfidf: f64 = p
+            .nodes()
+            .iter()
+            .filter_map(|n| {
+                let class = n.class?;
+                cands.col_types[n.column].iter().find(|c| c.class == class)
+            })
+            .map(|c| c.tfidf)
+            .chain(p.edges().iter().filter_map(|e| {
+                let rels = cands.rels(e.subject, e.object);
+                rels.iter()
+                    .find(|c| c.property == e.property)
+                    .map(|c| c.tfidf)
+            }))
+            .sum();
+        assert!(tfidf > 0.0);
+        assert!((score_pattern(&kb, &cands, &p, &cfg) - tfidf).abs() < 1e-12);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Fault injection, budgets, and retry policy for the simulated crowd.
+//! Fault injection and budgets for the simulated crowd.
 //!
 //! The paper's evaluation assumes a reliable expert crowd; real
 //! crowdsourcing platforms are not. This module models the common failure
 //! modes — workers who silently drop out, workers who abstain from a
 //! question, spammers who answer uniformly at random, and per-answer
-//! latency — plus a question/answer [`Budget`] and a [`RetryPolicy`] that
-//! re-issues no-quorum questions at escalated replication.
+//! latency — plus a question/answer [`Budget`]. The platform re-issues
+//! no-quorum questions at escalated replication.
 //!
 //! All faults are driven by a dedicated RNG stream seeded from
 //! [`FaultPlan::seed`], kept separate from the worker-assignment and
@@ -129,38 +129,6 @@ pub struct BudgetState {
     pub exhausted: bool,
 }
 
-/// Retry policy for questions that fail to reach a quorum.
-///
-/// A question is first asked at the configured base replication; each
-/// retry escalates replication by [`escalation_step`](Self::escalation_step)
-/// (the default reproduces the 3 → 5 → 7 ladder) up to
-/// [`max_attempts`](Self::max_attempts) total attempts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per question, including the first. `1` disables
-    /// retries entirely.
-    pub max_attempts: usize,
-    /// Extra replicas added per retry.
-    pub escalation_step: usize,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            escalation_step: 2,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Replication used for attempt number `attempt` (0-based) given the
-    /// crowd's base replication.
-    pub fn replication_for(&self, base: usize, attempt: usize) -> usize {
-        base + attempt * self.escalation_step
-    }
-}
-
 /// Outcome of [`Crowd::ask`] under the failure model.
 ///
 /// [`Crowd::ask`]: crate::platform::Crowd::ask
@@ -168,7 +136,7 @@ impl RetryPolicy {
 pub enum AskOutcome {
     /// A quorum of workers responded; this is the plurality answer.
     Answered(Answer),
-    /// No attempt reached a quorum within the retry policy (or the
+    /// No attempt reached a quorum within the retries (or the
     /// budget ran out mid-retry after at least one attempt was issued).
     NoQuorum,
     /// The budget was exhausted before the question could be issued at
@@ -313,14 +281,6 @@ mod tests {
         assert_eq!(b.max_questions, Some(7));
         assert_eq!(b.max_worker_answers, None);
         assert!(!b.is_unlimited());
-    }
-
-    #[test]
-    fn retry_policy_escalates_3_5_7() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.replication_for(3, 0), 3);
-        assert_eq!(p.replication_for(3, 1), 5);
-        assert_eq!(p.replication_for(3, 2), 7);
     }
 
     #[test]

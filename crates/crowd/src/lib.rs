@@ -18,8 +18,8 @@
 //! model (the [`fault`] module): a deterministic [`FaultPlan`] injects
 //! worker dropout, abstention, spam, and latency; a [`Budget`] caps
 //! spending; and [`Crowd::ask`] is fallible, returning an [`AskOutcome`]
-//! — no-quorum questions are retried at escalated replication per the
-//! [`RetryPolicy`] before the crowd gives up. With the default (inert)
+//! — no-quorum questions are retried at escalated replication (3 → 5
+//! → 7 replicas) before the crowd gives up. With the default (inert)
 //! plan and an unlimited budget the platform behaves exactly like a
 //! reliable crowd.
 //!
@@ -41,7 +41,7 @@ pub mod question;
 pub mod worker;
 
 pub use aggregate::{AggregationMode, DawidSkene, DawidSkeneConfig, Posterior};
-pub use fault::{AskOutcome, Budget, BudgetState, CrowdError, FaultPlan, RetryPolicy};
+pub use fault::{AskOutcome, Budget, BudgetState, CrowdError, FaultPlan};
 pub use oracle::{FixedOracle, Oracle};
 pub use platform::{Crowd, CrowdConfig, CrowdStats};
 pub use question::{Answer, Question, QuestionKind};

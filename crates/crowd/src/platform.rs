@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::aggregate::{AggregationMode, DawidSkene, DawidSkeneConfig};
-use crate::fault::{AskOutcome, Budget, BudgetState, CrowdError, FaultPlan, RetryPolicy};
+use crate::fault::{AskOutcome, Budget, BudgetState, CrowdError, FaultPlan};
 use crate::oracle::Oracle;
 use crate::question::{Answer, Question, QuestionKind};
 use crate::worker::Worker;
@@ -30,9 +30,6 @@ pub struct CrowdConfig {
     pub faults: FaultPlan,
     /// Usage limits; the default is unlimited.
     pub budget: Budget,
-    /// Retry policy for no-quorum questions (default: 3 attempts,
-    /// replication escalating 3 → 5 → 7).
-    pub retry: RetryPolicy,
     /// How replicated answers are aggregated. The default,
     /// [`AggregationMode::Plurality`], is the paper's scheme and is
     /// byte-identical to the pre-aggregation platform — the Dawid–Skene
@@ -53,12 +50,28 @@ impl Default for CrowdConfig {
             seed: 0,
             faults: FaultPlan::default(),
             budget: Budget::default(),
-            retry: RetryPolicy::default(),
             aggregation: AggregationMode::default(),
             quality: DawidSkeneConfig::default(),
         }
     }
 }
+
+/// The number of candidates `q`'s voting slots are laid out over (see
+/// [`Answer::slot`]).
+fn num_candidates(q: &Question) -> usize {
+    q.num_options() - usize::from(!matches!(q, Question::Fact { .. }))
+}
+
+/// The answer at voting slot `slot` of `q`.
+fn slot_answer(q: &Question, slot: usize) -> Answer {
+    Answer::from_slot(slot, num_candidates(q), matches!(q, Question::Fact { .. }))
+}
+
+/// Attempts per question, including the first.
+const MAX_ATTEMPTS: usize = 3;
+
+/// Extra replicas per retry: base replication 3 escalates 3 → 5 → 7.
+const ESCALATION_STEP: usize = 2;
 
 /// Cost and degradation accounting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -79,7 +92,7 @@ pub struct CrowdStats {
     pub abstentions: usize,
     /// Answers produced by spammer workers.
     pub spammer_answers: usize,
-    /// Questions that exhausted the retry policy without a quorum.
+    /// Questions that exhausted their retries without a quorum.
     pub no_quorum_questions: usize,
     /// Ask attempts denied by the budget.
     pub budget_denied: usize,
@@ -102,11 +115,6 @@ impl CrowdStats {
     /// Total distinct questions issued.
     pub fn questions(&self) -> usize {
         self.questions_by_kind.values().sum()
-    }
-
-    /// Questions of one kind.
-    pub fn questions_of(&self, kind: QuestionKind) -> usize {
-        self.questions_by_kind.get(&kind).copied().unwrap_or(0)
     }
 
     /// Counter-wise difference `self - earlier`, for callers that
@@ -154,8 +162,8 @@ impl CrowdStats {
 /// [`FaultPlan`] workers may drop out, abstain, or spam; an attempt only
 /// counts if a majority of its requested replicas actually respond
 /// (quorum), and failed attempts are re-issued at escalated replication
-/// per the [`RetryPolicy`]. A [`Budget`] caps total questions and
-/// collected answers.
+/// (3 attempts, 3 → 5 → 7 replicas at the default replication). A
+/// [`Budget`] caps total questions and collected answers.
 #[derive(Debug)]
 pub struct Crowd<O> {
     oracle: O,
@@ -168,7 +176,6 @@ pub struct Crowd<O> {
     spammers: Vec<bool>,
     budget: Budget,
     budget_state: BudgetState,
-    retry: RetryPolicy,
     /// Cooperative wall-clock cutoff, checked before every ask attempt.
     /// Inert by default; set per run via [`Crowd::set_deadline`].
     deadline: Deadline,
@@ -240,7 +247,6 @@ impl<O: Oracle> Crowd<O> {
             spammers,
             budget: config.budget,
             budget_state: BudgetState::default(),
-            retry: config.retry,
             deadline: Deadline::none(),
             aggregation: config.aggregation,
             quality,
@@ -275,7 +281,7 @@ impl<O: Oracle> Crowd<O> {
     /// workers; answers surviving dropout/abstention are aggregated per
     /// the configured [`AggregationMode`]. An attempt whose responses
     /// fall below a majority of its requested replicas has no quorum and
-    /// is retried per the [`RetryPolicy`]. Budget is checked before
+    /// is retried at escalated replication. Budget is checked before
     /// every attempt.
     ///
     /// Under plurality, ties break toward the lowest option slot,
@@ -297,30 +303,13 @@ impl<O: Oracle> Crowd<O> {
     /// The plurality ask loop — the byte-equivalence baseline.
     fn ask_plurality(&mut self, q: &Question) -> AskOutcome {
         let base = self.replication;
-        for attempt in 0..self.retry.max_attempts.max(1) {
-            // The deadline outranks the budget: an expired run must stop
-            // spending money, not report the money as the problem.
-            if self.deadline.expired() {
-                self.stats.deadline_denied += 1;
+        for attempt in 0..MAX_ATTEMPTS {
+            let replicas = base + attempt * ESCALATION_STEP;
+            if let Some(denied) = self.gate(attempt, replicas, replicas - base) {
                 if attempt == 0 {
-                    return AskOutcome::DeadlineExpired;
+                    return denied;
                 }
-                self.stats.no_quorum_questions += 1;
-                return AskOutcome::NoQuorum;
-            }
-            let replicas = self.retry.replication_for(base, attempt);
-            if !self.budget_allows(replicas) {
-                self.budget_state.exhausted = true;
-                self.stats.budget_denied += 1;
-                if attempt == 0 {
-                    return AskOutcome::BudgetExhausted;
-                }
-                self.stats.no_quorum_questions += 1;
-                return AskOutcome::NoQuorum;
-            }
-            if attempt > 0 {
-                self.stats.questions_retried += 1;
-                self.stats.escalations += replicas - base;
+                break;
             }
             if let Some(a) = self.attempt(q, replicas) {
                 return AskOutcome::Answered(a);
@@ -344,10 +333,7 @@ impl<O: Oracle> Crowd<O> {
             (c.posterior_confident, c.escalate_below)
         };
         let correct = self.oracle.answer(q);
-        let num_candidates = q.num_options() - usize::from(!matches!(q, Question::Fact { .. }));
-        let is_bool = matches!(q, Question::Fact { .. });
         let num_slots = q.num_options();
-        let faults_active = !self.faults.is_inert();
         // Votes accumulate across escalation attempts: fresh workers are
         // *added* to the pool of evidence; answers already paid for are
         // never discarded (unlike the plurality retry, which re-asks from
@@ -356,67 +342,21 @@ impl<O: Oracle> Crowd<O> {
         let mut votes: Vec<(usize, usize)> = Vec::new();
         let mut last: Option<crate::aggregate::Posterior> = None;
         let mut confident = false;
-        for attempt in 0..self.retry.max_attempts.max(1) {
-            let add = if attempt == 0 {
-                base
-            } else {
-                self.retry.escalation_step.max(1)
-            };
-            if self.deadline.expired() {
-                self.stats.deadline_denied += 1;
+        for attempt in 0..MAX_ATTEMPTS {
+            let add = if attempt == 0 { base } else { ESCALATION_STEP };
+            if let Some(denied) = self.gate(attempt, add, add) {
                 if attempt == 0 {
-                    return AskOutcome::DeadlineExpired;
+                    return denied;
                 }
                 break; // settle on the evidence already collected
-            }
-            if !self.budget_allows(add) {
-                self.budget_state.exhausted = true;
-                self.stats.budget_denied += 1;
-                if attempt == 0 {
-                    return AskOutcome::BudgetExhausted;
-                }
-                break;
-            }
-            if attempt > 0 {
-                self.stats.questions_retried += 1;
-                self.stats.escalations += add;
             }
             let mut issued = 0usize;
             for _ in 0..add {
                 issued += 1;
-                let wi = self.assign_rng.random_range(0..self.workers.len());
-                if faults_active {
-                    if self.faults.dropout_rate > 0.0
-                        && self.fault_rng.random_bool(self.faults.dropout_rate)
-                    {
-                        self.stats.dropouts += 1;
-                        continue;
-                    }
-                    if self.faults.abstain_rate > 0.0
-                        && self.fault_rng.random_bool(self.faults.abstain_rate)
-                    {
-                        self.stats.abstentions += 1;
-                        continue;
-                    }
-                    let (lo, hi) = self.faults.latency_ms;
-                    if hi > 0 {
-                        self.stats.simulated_latency_ms += if hi > lo {
-                            self.fault_rng.random_range(lo..=hi)
-                        } else {
-                            hi
-                        };
-                    }
-                }
-                let a = if faults_active && self.spammers[wi] {
-                    self.stats.spammer_answers += 1;
-                    let slot = self.fault_rng.random_range(0..q.num_options());
-                    Answer::from_slot(slot, num_candidates, is_bool)
-                } else {
-                    self.workers[wi].respond(q, correct)
+                let Some(vote) = self.replica(q, correct) else {
+                    continue;
                 };
-                votes.push((wi, a.slot(num_candidates)));
-                self.stats.worker_answers += 1;
-                self.budget_state.answers_used += 1;
+                votes.push(vote);
                 // Adaptive replication: once a quorum has answered, peek
                 // at the posterior and stop paying for replicas a
                 // confident answer does not need.
@@ -458,10 +398,11 @@ impl<O: Oracle> Crowd<O> {
                 // already saved, so the run never outpaces plurality's
                 // base-replication spend and late questions are never
                 // starved by early disagreements.
-                let add_next = self.retry.escalation_step.max(1);
                 let paced = match self.budget.max_worker_answers {
                     None => true,
-                    Some(_) => self.budget_state.answers_used + add_next <= base * self.ds_asks,
+                    Some(_) => {
+                        self.budget_state.answers_used + ESCALATION_STEP <= base * self.ds_asks
+                    }
                 };
                 if !paced {
                     break;
@@ -481,7 +422,7 @@ impl<O: Oracle> Crowd<O> {
         if confident {
             self.stats.posterior_confident += 1;
         }
-        AskOutcome::Answered(Answer::from_slot(post.slot, num_candidates, is_bool))
+        AskOutcome::Answered(slot_answer(q, post.slot))
     }
 
     /// True when the budget can fund one more question with `replicas`
@@ -498,53 +439,80 @@ impl<O: Oracle> Crowd<O> {
         q_ok && a_ok
     }
 
+    /// Gate attempt `attempt` of a question that collects up to
+    /// `replicas` answers, `escalation` of them beyond base replication.
+    /// The deadline outranks the budget: an expired run must stop
+    /// spending money, not report the money as the problem. Returns the
+    /// denial, if any; a retry that goes ahead is counted.
+    fn gate(&mut self, attempt: usize, replicas: usize, escalation: usize) -> Option<AskOutcome> {
+        if self.deadline.expired() {
+            self.stats.deadline_denied += 1;
+            return Some(AskOutcome::DeadlineExpired);
+        }
+        if !self.budget_allows(replicas) {
+            self.budget_state.exhausted = true;
+            self.stats.budget_denied += 1;
+            return Some(AskOutcome::BudgetExhausted);
+        }
+        if attempt > 0 {
+            self.stats.questions_retried += 1;
+            self.stats.escalations += escalation;
+        }
+        None
+    }
+
+    /// One replica of `q`: a random worker answers, unless the fault plan
+    /// drops it out or has it abstain; a spammer answers at random.
+    /// Returns the worker and its answer slot, counted as a collected
+    /// answer. When the plan is inert the fault stream is never consumed
+    /// and every replica responds — exactly the reliable-crowd path.
+    fn replica(&mut self, q: &Question, correct: Answer) -> Option<(usize, usize)> {
+        let faults_active = !self.faults.is_inert();
+        let wi = self.assign_rng.random_range(0..self.workers.len());
+        if faults_active {
+            if self.faults.dropout_rate > 0.0
+                && self.fault_rng.random_bool(self.faults.dropout_rate)
+            {
+                self.stats.dropouts += 1;
+                return None;
+            }
+            if self.faults.abstain_rate > 0.0
+                && self.fault_rng.random_bool(self.faults.abstain_rate)
+            {
+                self.stats.abstentions += 1;
+                return None;
+            }
+            let (lo, hi) = self.faults.latency_ms;
+            if hi > 0 {
+                self.stats.simulated_latency_ms += if hi > lo {
+                    self.fault_rng.random_range(lo..=hi)
+                } else {
+                    hi
+                };
+            }
+        }
+        let slot = if faults_active && self.spammers[wi] {
+            self.stats.spammer_answers += 1;
+            self.fault_rng.random_range(0..q.num_options())
+        } else {
+            self.workers[wi].respond(q, correct).slot(num_candidates(q))
+        };
+        self.stats.worker_answers += 1;
+        self.budget_state.answers_used += 1;
+        Some((wi, slot))
+    }
+
     /// One attempt at `replicas` replication. Returns the plurality
     /// answer, or `None` if fewer than a majority of replicas responded.
     fn attempt(&mut self, q: &Question, replicas: usize) -> Option<Answer> {
         let correct = self.oracle.answer(q);
-        let num_candidates = q.num_options() - usize::from(!matches!(q, Question::Fact { .. }));
-        let is_bool = matches!(q, Question::Fact { .. });
-        // When the plan is inert the fault stream is never consumed and
-        // every replica responds, so this is exactly the reliable-crowd
-        // code path.
-        let faults_active = !self.faults.is_inert();
         let mut votes: HashMap<usize, usize> = HashMap::new();
         let mut responses = 0usize;
         for _ in 0..replicas {
-            let wi = self.assign_rng.random_range(0..self.workers.len());
-            if faults_active {
-                if self.faults.dropout_rate > 0.0
-                    && self.fault_rng.random_bool(self.faults.dropout_rate)
-                {
-                    self.stats.dropouts += 1;
-                    continue;
-                }
-                if self.faults.abstain_rate > 0.0
-                    && self.fault_rng.random_bool(self.faults.abstain_rate)
-                {
-                    self.stats.abstentions += 1;
-                    continue;
-                }
-                let (lo, hi) = self.faults.latency_ms;
-                if hi > 0 {
-                    self.stats.simulated_latency_ms += if hi > lo {
-                        self.fault_rng.random_range(lo..=hi)
-                    } else {
-                        hi
-                    };
-                }
+            if let Some((_, slot)) = self.replica(q, correct) {
+                *votes.entry(slot).or_insert(0) += 1;
+                responses += 1;
             }
-            let a = if faults_active && self.spammers[wi] {
-                self.stats.spammer_answers += 1;
-                let slot = self.fault_rng.random_range(0..q.num_options());
-                Answer::from_slot(slot, num_candidates, is_bool)
-            } else {
-                self.workers[wi].respond(q, correct)
-            };
-            *votes.entry(a.slot(num_candidates)).or_insert(0) += 1;
-            responses += 1;
-            self.stats.worker_answers += 1;
-            self.budget_state.answers_used += 1;
         }
         *self.stats.questions_by_kind.entry(q.kind()).or_insert(0) += 1;
         self.budget_state.questions_used += 1;
@@ -555,18 +523,12 @@ impl<O: Oracle> Crowd<O> {
             .iter()
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             .expect("quorum implies at least one vote");
-        Some(Answer::from_slot(slot, num_candidates, is_bool))
+        Some(slot_answer(q, slot))
     }
 
     /// Accumulated cost statistics.
     pub fn stats(&self) -> &CrowdStats {
         &self.stats
-    }
-
-    /// Reset the statistics (e.g. between experiment phases). Budget
-    /// accounting is *not* reset: spent money stays spent.
-    pub fn reset_stats(&mut self) {
-        self.stats = CrowdStats::default();
     }
 
     /// Live budget accounting.
@@ -678,10 +640,9 @@ mod tests {
             Crowd::new(CrowdConfig::default(), FixedOracle(Answer::Bool(true))).unwrap();
         crowd.ask(&fact_q("a"));
         crowd.ask(&fact_q("b"));
-        assert_eq!(crowd.stats().questions_of(QuestionKind::Fact), 2);
-        assert_eq!(crowd.stats().questions_of(QuestionKind::ColumnType), 0);
-        crowd.reset_stats();
-        assert_eq!(crowd.stats().questions(), 0);
+        let by_kind = &crowd.stats().questions_by_kind;
+        assert_eq!(by_kind.get(&QuestionKind::Fact), Some(&2));
+        assert_eq!(by_kind.get(&QuestionKind::ColumnType), None);
     }
 
     #[test]
@@ -821,17 +782,13 @@ mod tests {
             ..CrowdConfig::default()
         };
         // Explicit inert plan with a wild seed, explicit unlimited
-        // budget, explicit retry policy.
+        // budget.
         let explicit = CrowdConfig {
             faults: FaultPlan {
                 seed: 0xDEAD_BEEF,
                 ..FaultPlan::default()
             },
             budget: Budget::unlimited(),
-            retry: RetryPolicy {
-                max_attempts: 5,
-                escalation_step: 4,
-            },
             ..base.clone()
         };
         assert_eq!(run(base), run(explicit));

@@ -250,10 +250,7 @@ fn label_search_counts_one_fuzzy_lookup_per_unlabelled_value() {
     let rec = Arc::new(RunRecorder::new());
     let config = KataraConfig {
         recorder: rec.clone(),
-        annotation: AnnotationConfig {
-            enrich_kb: false,
-            ..AnnotationConfig::default()
-        },
+        annotation: AnnotationConfig { enrich_kb: false },
         ..KataraConfig::default()
     };
     let mut crowd = crowd_for(&corpus, g, flavor, 1.0, 0xC0FFEE);
@@ -294,10 +291,7 @@ fn type_writes_repeat_no_label_search() {
             let rec = Arc::new(RunRecorder::new());
             let config = KataraConfig {
                 recorder: rec.clone(),
-                annotation: AnnotationConfig {
-                    enrich_kb,
-                    ..AnnotationConfig::default()
-                },
+                annotation: AnnotationConfig { enrich_kb },
                 ..KataraConfig::default()
             };
             let mut crowd = crowd_for(&corpus, g, flavor, 1.0, 0xC0FFEE);

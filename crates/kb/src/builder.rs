@@ -20,7 +20,6 @@ use crate::ontology::Hierarchy;
 use crate::query::Object;
 use crate::sim;
 use crate::store::Kb;
-use crate::DEFAULT_SIM_THRESHOLD;
 
 /// Builder for [`Kb`].
 #[derive(Debug, Default)]
@@ -35,17 +34,15 @@ pub struct KbBuilder {
     class_hier: Hierarchy,
     prop_hier: Hierarchy,
     facts: Vec<(ResourceId, PropertyId, Object)>,
-    sim_threshold: f64,
     /// What the audited declaration methods repaired so far.
     audit: KbAudit,
 }
 
 impl KbBuilder {
-    /// A fresh builder with the paper's 0.7 similarity threshold.
+    /// A fresh, empty builder.
     pub fn new() -> Self {
         KbBuilder {
             name: "kb".to_string(),
-            sim_threshold: DEFAULT_SIM_THRESHOLD,
             ..Default::default()
         }
     }
@@ -53,13 +50,6 @@ impl KbBuilder {
     /// Set the KB's display name.
     pub fn with_name(mut self, name: &str) -> Self {
         self.name = name.to_string();
-        self
-    }
-
-    /// Override the label-similarity threshold.
-    pub fn with_sim_threshold(mut self, t: f64) -> Self {
-        assert!((0.0..=1.0).contains(&t), "threshold must be in [0,1]");
-        self.sim_threshold = t;
         self
     }
 
@@ -362,7 +352,6 @@ impl KbBuilder {
             prop_objects: CsrRows::from_rows(&prop_objects),
             literal_norm: NormIndex::from_sorted(norms),
             coherence: Arc::new(coherence),
-            sim_threshold: self.sim_threshold,
             fact_count,
             version: 0,
             capture: None,
@@ -455,18 +444,6 @@ mod tests {
         assert!(kb.sub_coherence(country, p) > 0.5);
         assert!(kb.obj_coherence(capital, p) > 0.5);
         assert_eq!(kb.coherence().max_sub(p), kb.sub_coherence(country, p));
-    }
-
-    #[test]
-    fn threshold_validation() {
-        let b = KbBuilder::new().with_sim_threshold(0.5);
-        assert_eq!(b.finalize().sim_threshold(), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn bad_threshold_panics() {
-        let _ = KbBuilder::new().with_sim_threshold(1.5);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl CoherenceTable {
         self.max_obj.get(p.index()).copied().unwrap_or(0.0)
     }
 
-    /// Number of stored (type, property) subject-position entries.
-    pub fn len_sub(&self) -> usize {
-        self.sub.len()
-    }
-
     /// Build the table.
     ///
     /// * `n` — total entity count `N`;
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn empty_kb_builds_empty_table() {
         let t = CoherenceTable::build(0, 0, &[], &[], &[], &[]);
-        assert_eq!(t.len_sub(), 0);
+        assert_eq!(t.sub(ClassId(0), PropertyId(0)), 0.0);
         assert_eq!(t.max_sub(PropertyId(0)), 0.0);
     }
 }

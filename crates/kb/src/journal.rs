@@ -730,13 +730,15 @@ impl JournalFile for FaultWriter {
 
 // ---- The journal ------------------------------------------------------
 
+/// Retries after a failed append+fsync (total attempts = 1 + this).
+const APPEND_RETRIES: u32 = 3;
+
+/// Backoff before retry `n` is `RETRY_BACKOFF * n`.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
 /// Journal tuning knobs.
 #[derive(Debug, Clone)]
 pub struct JournalConfig {
-    /// Retries after a failed append+fsync (total attempts = 1 + this).
-    pub append_retries: u32,
-    /// Backoff before retry `n` is `retry_backoff * n`.
-    pub retry_backoff: Duration,
     /// Auto-compact ([`Journal::maybe_compact`]) once this many records
     /// accumulated since the last checkpoint.
     pub compact_every: u64,
@@ -745,8 +747,6 @@ pub struct JournalConfig {
 impl Default for JournalConfig {
     fn default() -> Self {
         JournalConfig {
-            append_retries: 3,
-            retry_backoff: Duration::from_millis(1),
             compact_every: 1024,
         }
     }
@@ -885,7 +885,7 @@ impl Journal {
 
     /// Append one delta; when this returns `Ok`, the record is fsynced.
     /// Empty deltas are a no-op. Transient failures retry up to
-    /// `config.append_retries` times with linear backoff, rewinding to
+    /// `APPEND_RETRIES` times with linear backoff, rewinding to
     /// the last committed length first so the file never holds a
     /// half-record before a committed one.
     pub fn append(&mut self, delta: &EnrichmentDelta) -> Result<u64, JournalError> {
@@ -898,10 +898,10 @@ impl Journal {
         let seq = self.next_seq;
         let bytes = frame(&encode_payload(seq, delta));
         let mut last_err: Option<io::Error> = None;
-        for attempt in 0..=self.config.append_retries {
+        for attempt in 0..=APPEND_RETRIES {
             if attempt > 0 {
                 self.stats.retries += 1;
-                std::thread::sleep(self.config.retry_backoff * attempt);
+                std::thread::sleep(RETRY_BACKOFF * attempt);
             }
             let result = self.file.append(&bytes).and_then(|()| {
                 self.stats.fsyncs += 1;
@@ -1548,10 +1548,7 @@ mod tests {
     fn maybe_compact_triggers_on_threshold() {
         let dir = temp_dir("auto-compact");
         let mut kb = mini_kb();
-        let config = JournalConfig {
-            compact_every: 3,
-            ..JournalConfig::default()
-        };
+        let config = JournalConfig { compact_every: 3 };
         let (mut journal, _) = Journal::open(&dir, &mut kb, config).unwrap();
         for n in 0..3 {
             let mut capture = kb.clone();

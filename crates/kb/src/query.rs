@@ -7,6 +7,7 @@ use crate::ids::{ClassId, LiteralId, PropertyId, ResourceId};
 use crate::label_index::LabelSearchStats;
 use crate::sim;
 use crate::store::Kb;
+use crate::DEFAULT_SIM_THRESHOLD;
 
 /// The object position of a triple: a resource or a literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,7 +47,9 @@ impl Kb {
             let hits = exact.iter().map(|&r| (r, 1.0)).collect();
             return (hits, LabelSearchStats::default());
         }
-        let (hits, stats) = self.label_index.search_normalized(norm, self.sim_threshold);
+        let (hits, stats) = self
+            .label_index
+            .search_normalized(norm, DEFAULT_SIM_THRESHOLD);
         let hits = hits.into_iter().map(|m| (m.resource, m.score)).collect();
         (hits, stats)
     }
@@ -302,14 +305,6 @@ impl Kb {
             .iter()
             .any(|&(r, _)| self.has_type(r, c))
     }
-
-    /// Resources matching `cell` that carry type `c`, best match first.
-    pub fn typed_candidates(&self, cell: &str, c: ClassId) -> Vec<(ResourceId, f64)> {
-        self.candidate_resources(cell)
-            .into_iter()
-            .filter(|&(r, _)| self.has_type(r, c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -415,8 +410,12 @@ mod tests {
         let (kb, [person, country, _], _) = fig1_kb();
         assert!(kb.value_has_type("Rossi", person));
         assert!(!kb.value_has_type("Rossi", country));
-        let t = kb.typed_candidates("Italy", country);
-        assert_eq!(t.len(), 1);
+        let typed = kb
+            .candidate_resources("Italy")
+            .into_iter()
+            .filter(|&(r, _)| kb.has_type(r, country))
+            .count();
+        assert_eq!(typed, 1);
     }
 
     #[test]

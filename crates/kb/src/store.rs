@@ -70,7 +70,6 @@ pub struct Kb {
     /// normalize(lit) -> LiteralIds of the spellings, for Q_rels^2.
     pub(crate) literal_norm: NormIndex,
     pub(crate) coherence: Arc<CoherenceTable>,
-    pub(crate) sim_threshold: f64,
     /// Count of facts (triples with a property), for reporting.
     pub(crate) fact_count: usize,
     /// Monotonic mutation counter, bumped by every enrichment write that
@@ -117,11 +116,6 @@ impl Kb {
         self.resource_ids()
             .map(|r| self.direct_types(r).len())
             .sum()
-    }
-
-    /// The similarity threshold used for approximate label matching.
-    pub fn sim_threshold(&self) -> f64 {
-        self.sim_threshold
     }
 
     /// The current mutation version. Starts at 0 on finalize and moves

@@ -14,10 +14,11 @@
 //!   `base=<key>` the body is an edits CSV (`op,row,<columns…>`)
 //!   replayed incrementally against that session — byte-identical to a
 //!   full re-clean of the edited table at a fraction of the work.
-//!   Sessions run with KB enrichment disabled, so they track the shared
-//!   base store exactly; journaled enrichment from `/clean` requests
-//!   reaches them through a ring of recent deltas. `404` unknown
-//!   session, `409` session fell behind the ring (re-bootstrap).
+//!   A session holds its table, snapshot and caches but no KB: every
+//!   replay runs on the request's own clone of the base, like `/clean`.
+//!   Journaled enrichment from `/clean` requests reaches its snapshot
+//!   through a ring of recent deltas, or, once the ring no longer
+//!   reaches back, through a rebuild. `404` unknown session.
 //! * `GET /healthz` — liveness and in-flight count.
 //! * `GET /metrics` — the server-wide [`RunMetrics`] as JSON.
 //!
@@ -157,15 +158,15 @@ const SESSION_CACHE_CAP: usize = 16;
 
 /// Cap on the ring of recently journaled enrichment deltas kept for
 /// `/delta` session catch-up. A session that falls further behind than
-/// this answers `409` and must re-bootstrap.
+/// this has its snapshot rebuilt on its next replay.
 const RECENT_DELTAS_CAP: usize = 64;
 
-/// One warm incremental session (`POST /delta`): the engine state, the
-/// session's own KB clone (enrichment-free, so it tracks the shared base
-/// exactly), and the crowd policy fixed at bootstrap.
+/// One warm incremental session (`POST /delta`): the engine state (table,
+/// snapshot and caches), the base KB version its snapshot reflects, and
+/// the crowd policy fixed at bootstrap. It holds no KB of its own.
 struct DeltaEntry {
     session: DeltaSession,
-    kb: Kb,
+    version: u64,
     policy: ServePolicy,
 }
 
@@ -218,11 +219,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
         self.map.insert(key, (self.tick, entry));
         evicted
-    }
-
-    /// Drop an entry outright (catch-up failure); not an eviction.
-    fn remove(&mut self, key: &K) {
-        self.map.remove(key);
     }
 
     #[cfg(test)]
@@ -280,8 +276,9 @@ struct ServerState {
     /// key assigned at bootstrap; LRU-evicted at capacity.
     sessions: Mutex<LruCache<u64, Arc<Mutex<DeltaEntry>>>>,
     /// Recently journaled enrichment deltas as (pre-apply KB version,
-    /// delta), in application order. `/delta` sessions replay the suffix
-    /// past their own version to catch up to the advancing base.
+    /// delta), in application order. A `/delta` replay patches its
+    /// session's snapshot with the ones its base clone holds and the
+    /// snapshot does not.
     recent_deltas: Mutex<VecDeque<(u64, EnrichmentDelta)>>,
     /// `Some` when serving durably (`--journal-dir`): enrichment is
     /// journaled before the response acknowledges it. The mutex also
@@ -666,10 +663,7 @@ fn pipeline_config(state: &ServerState, deadline: Deadline, enrich_kb: bool) -> 
             questions_per_variable: 1,
             ..ValidationConfig::default()
         },
-        annotation: AnnotationConfig {
-            enrich_kb,
-            ..AnnotationConfig::default()
-        },
+        annotation: AnnotationConfig { enrich_kb },
         recorder: state.recorder.clone() as Arc<dyn Recorder>,
         deadline,
         ..KataraConfig::default()
@@ -819,17 +813,16 @@ fn handle_delta(state: &ServerState, req: &Request, text: &str) -> (u16, String)
 /// for incremental replays. The response is the `/clean` report with a
 /// `"session"` key prepended.
 ///
-/// Sessions run with KB enrichment disabled, so the session's KB clone
-/// only ever advances through the catch-up ring — which is what makes
-/// version-chained catch-up sound. The crowd policy is fixed here;
-/// `base=` requests reuse it and ignore per-request overrides, and so is
-/// the configuration: `deadline_ms` and `max_questions` do not apply.
+/// Sessions run with KB enrichment disabled, so their snapshot moves only
+/// with the base. The crowd policy is fixed here; `base=` requests reuse
+/// it and ignore per-request overrides, and so is the configuration:
+/// `deadline_ms` and `max_questions` do not apply.
 fn bootstrap_delta_session(state: &ServerState, req: &Request, text: &str) -> (u16, String) {
     let (table, ingest, policy) = match parse_table_request(state, req, text) {
         Ok(parsed) => parsed,
         Err(response) => return response,
     };
-    let (mut kb, _) = clone_base_kb(state);
+    let (mut kb, version) = clone_base_kb(state);
     let mut crowd = match serve_crowd(policy.clone(), Budget::unlimited()) {
         Ok(crowd) => crowd,
         Err(response) => return response,
@@ -853,7 +846,7 @@ fn bootstrap_delta_session(state: &ServerState, req: &Request, text: &str) -> (u
             if let Some(session) = session {
                 let entry = Arc::new(Mutex::new(DeltaEntry {
                     session,
-                    kb,
+                    version,
                     policy,
                 }));
                 let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
@@ -871,8 +864,8 @@ fn bootstrap_delta_session(state: &ServerState, req: &Request, text: &str) -> (u
     )
 }
 
-/// Replay path: parse the edits CSV, catch the session up to the shared
-/// base through the enrichment ring, run the incremental clean.
+/// Replay path: parse the edits CSV, clone the base, catch the session's
+/// snapshot up to the clone, run the incremental clean on the clone.
 fn replay_delta(state: &ServerState, key: u64, text: &str) -> (u16, String) {
     let entry = {
         let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
@@ -889,33 +882,26 @@ fn replay_delta(state: &ServerState, key: u64, text: &str) -> (u16, String) {
         Ok(edits) => edits,
         Err(e) => return quarantine(state, &e.to_string()),
     };
-    if catch_up(state, &mut guard).is_err() {
-        drop(guard);
-        let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
-        sessions.remove(&key);
-        return (
-            409,
-            error_body(
-                "session too old",
-                "the enrichment ring no longer reaches this session; re-bootstrap",
-            ),
-        );
-    }
+    let (mut kb, _) = clone_base_kb(state);
+    catch_up(state, &mut guard, &kb);
     let DeltaEntry {
         session,
-        kb,
+        version,
         policy,
     } = &mut *guard;
     let mut crowd = match serve_crowd(policy.clone(), Budget::unlimited()) {
         Ok(crowd) => crowd,
         Err(response) => return response,
     };
-    let result = session.clean_delta(kb, &mut crowd, &edits);
+    let result = session.clean_delta(&mut kb, &mut crowd, &edits);
+    if session.is_current(&kb) {
+        *version = kb.version();
+    }
     respond(
         state,
         result,
         "the KB no longer covers this table",
-        |report| with_session_key(key, &report_body(report, kb, session.table())),
+        |report| with_session_key(key, &report_body(report, &kb, session.table())),
     )
 }
 
@@ -924,37 +910,29 @@ fn with_session_key(key: u64, body: &str) -> String {
     format!("{{\"session\":\"{key:016x}\",{}", &body[1..])
 }
 
-/// Advance a `/delta` session's KB to the shared base by replaying the
-/// enrichment ring. Each ring entry is keyed by the KB version it was
-/// applied *at*; because sessions never self-enrich, the session version
-/// chains through exactly the same sequence the base did. A gap (the
-/// ring evicted an entry the session still needs) is an error — the
-/// caller answers `409` and drops the session.
-fn catch_up(state: &ServerState, entry: &mut DeltaEntry) -> Result<(), ()> {
-    loop {
-        let base_version = {
-            let base = state.kb.read().unwrap_or_else(|e| e.into_inner());
-            base.version()
+/// Patch a `/delta` session's snapshot up to `kb`, a fresh clone of the
+/// base: apply, in order, every ring delta from the session's version up
+/// to the clone's. The clone already holds them all, as
+/// [`DeltaSession::apply_enrichment`] requires. When the ring no longer
+/// reaches back to the session's version nothing is patched, and
+/// `clean_delta` rebuilds the stale snapshot from `kb` instead.
+fn catch_up(state: &ServerState, entry: &mut DeltaEntry, kb: &Kb) {
+    let missed: Vec<EnrichmentDelta> = {
+        let ring = state
+            .recent_deltas
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let Some(start) = ring.iter().position(|(pre, _)| *pre == entry.version) else {
+            return;
         };
-        if entry.kb.version() >= base_version {
-            return Ok(());
-        }
-        let step = {
-            let ring = state
-                .recent_deltas
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            ring.iter()
-                .find(|(pre, _)| *pre == entry.kb.version())
-                .map(|(_, d)| d.clone())
-        };
-        let Some(delta) = step else {
-            return Err(());
-        };
-        if entry.kb.apply_delta(&delta).is_err() {
-            return Err(());
-        }
-        entry.session.apply_enrichment(&entry.kb, &delta);
+        ring.iter()
+            .skip(start)
+            .take_while(|(pre, _)| *pre < kb.version())
+            .map(|(_, delta)| delta.clone())
+            .collect()
+    };
+    for delta in &missed {
+        entry.session.apply_enrichment(kb, delta);
     }
 }
 
@@ -1011,7 +989,7 @@ fn persist_enrichment(state: &ServerState, report: &mut CleaningReport) {
                     let pre = shared.version();
                     *shared = next;
                     // Record (pre-apply version, delta) so warm `/delta`
-                    // sessions can chain forward to the new base.
+                    // sessions can patch their snapshots forward.
                     {
                         let mut ring = state
                             .recent_deltas
@@ -1720,9 +1698,6 @@ mod tests {
         // A miss advances nothing visible and evicts nothing.
         assert_eq!(cache.get(&999), None);
         assert_eq!(cache.len(), SESSION_CACHE_CAP);
-        // Explicit removal frees a slot, so the next insert is eviction-free.
-        cache.remove(&0);
-        assert_eq!(cache.insert(103, 103), None);
     }
 
     #[test]
@@ -1756,58 +1731,116 @@ mod tests {
         );
     }
 
-    #[test]
-    fn delta_sessions_catch_up_through_the_enrichment_ring() {
-        let (st, dir) = durable_state("ring");
-        // Bootstrap a session at the boot version.
-        let (status, body, _) = route(&st, &post_delta(SOCCER_CSV, &[("crowd", "skeptic")]));
+    /// A `/delta` response body without its `"session"` key.
+    fn without_session(body: &str) -> String {
+        let key = session_key_of(body);
+        body.replacen(&format!("\"session\":\"{key}\","), "", 1)
+    }
+
+    /// What a fresh skeptic `/delta` bootstrap of `csv` answers, without
+    /// its `"session"` key.
+    fn fresh_bootstrap(st: &ServerState, csv: &str) -> String {
+        let (status, body, _) = route(st, &post_delta(csv, &[("crowd", "skeptic")]));
         assert_eq!(status, 200, "{body}");
+        without_session(&body)
+    }
+
+    /// Bootstrap a skeptic session on the soccer table, then advance the
+    /// base past it: a trust-mode `/clean` confirms Pirlo's `Madrid` and
+    /// journals it, so the base now validates the row the session flagged.
+    fn session_behind_the_base(st: &ServerState) -> String {
+        let (status, body, _) = route(st, &post_delta(SOCCER_CSV, &[("crowd", "skeptic")]));
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"row\":1"), "{body}");
         let key = session_key_of(&body);
         let v0 = st.kb.read().unwrap().version();
-
-        // A trust-mode /clean enriches the shared KB durably; the ring
-        // records the delta and the base version advances.
-        let (status, _, _) = route(&st, &post_clean(SOCCER_CSV, &[]));
-        assert_eq!(status, 200);
-        assert!(st.kb.read().unwrap().version() > v0, "base advanced");
-        assert!(!st.recent_deltas.lock().unwrap().is_empty());
-
-        // The warm session replays the ring delta and still serves.
-        let edits = "op,row,name,country,capital\nupsert,1,Pirlo,Italy,Rome\n";
-        let (status, body, _) = route(&st, &post_delta(edits, &[("base", &key)]));
+        let (status, body, _) = route(st, &post_clean(SOCCER_CSV, &[]));
         assert_eq!(status, 200, "{body}");
-        {
-            let mut sessions = st.sessions.lock().unwrap();
-            let entry = sessions
-                .get(&u64::from_str_radix(&key, 16).unwrap())
-                .expect("warm session");
-            let entry = entry.lock().unwrap();
-            assert_eq!(
-                entry.kb.version(),
-                st.kb.read().unwrap().version(),
-                "catch-up chained the session KB to the base version"
-            );
-        }
+        assert!(st.kb.read().unwrap().version() > v0, "base advanced");
+        key
+    }
 
-        // Evict the ring entries: the session can no longer catch up to
-        // a further-advanced base — 409, and the session is dropped, so
-        // the retry is a 404 telling the client to re-bootstrap.
-        route(&st, &post_clean(SOCCER_CSV, &[("crowd", "skeptic")]));
+    /// Two replays on a session the base has moved past: each answers 200
+    /// with the body a fresh bootstrap of the edited table gets.
+    fn replays_match_fresh_bootstraps(st: &ServerState, key: &str) {
+        let append = "op,row,name,country,capital\nupsert,3,Klate,S. Africa,Rome\n";
+        let (status, body, _) = route(st, &post_delta(append, &[("base", key)]));
+        assert_eq!(status, 200, "{body}");
+        assert!(
+            body.contains("\"erroneous\":1"),
+            "Pirlo now validates: {body}"
+        );
+        let edited = format!("{SOCCER_CSV}Klate,S. Africa,Rome\n");
+        assert_eq!(without_session(&body), fresh_bootstrap(st, &edited));
+
+        let fix = "op,row,name,country,capital\nupsert,3,Klate,S. Africa,Pretoria\n";
+        let (status, body, _) = route(st, &post_delta(fix, &[("base", key)]));
+        assert_eq!(status, 200, "{body}");
+        let edited = format!("{SOCCER_CSV}Klate,S. Africa,Pretoria\n");
+        assert_eq!(without_session(&body), fresh_bootstrap(st, &edited));
+    }
+
+    /// A session the ring no longer reaches is rebuilt from the base on
+    /// its next replay instead of being refused.
+    #[test]
+    fn a_session_the_ring_no_longer_reaches_resyncs() {
+        let (st, dir) = durable_state("resync");
+        let key = session_behind_the_base(&st);
         st.recent_deltas.lock().unwrap().clear();
-        {
-            // Force the base past the session without a ring record.
-            let mut js = st.journal.as_ref().unwrap().lock().unwrap();
-            let mut kb = st.kb.write().unwrap();
-            kb.begin_delta_capture();
-            kb.add_entity("Atlantis", "Atlantis", &[]);
-            let d = kb.take_delta();
-            js.journal.append(&d).unwrap();
+        replays_match_fresh_bootstraps(&st, &key);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session the ring still reaches patches its snapshot with the
+    /// missed deltas, to the same bytes. The ring here also holds the
+    /// entry two concurrent cleans of one base leave when both journal
+    /// the same fact: the second apply moves no version, so two entries
+    /// share a pre-apply version.
+    #[test]
+    fn a_session_the_ring_reaches_catches_up() {
+        let (st, dir) = durable_state("ring");
+        let (mut kb, _) = clone_base_kb(&st);
+        let table = csv::parse("t", SOCCER_CSV).unwrap();
+        let mut crowd = serve_crowd(ServePolicy::Trust, Budget::unlimited()).unwrap();
+        let mut late = Katara::new(pipeline_config(&st, Deadline::none(), true))
+            .clean(&table, &mut kb, &mut crowd)
+            .unwrap();
+        let key = session_behind_the_base(&st);
+        let v1 = st.kb.read().unwrap().version();
+        persist_enrichment(&st, &mut late);
+        assert_eq!(st.kb.read().unwrap().version(), v1, "the same fact again");
+        // A further advance: Spain's capital is confirmed as Rome too.
+        let rome = SOCCER_CSV.replace("Spain,Madrid", "Spain,Rome");
+        let (status, body, _) = route(&st, &post_clean(&rome, &[]));
+        assert_eq!(status, 200, "{body}");
+        assert!(st.kb.read().unwrap().version() > v1, "base advanced");
+        let pres: Vec<u64> = st
+            .recent_deltas
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|d| d.0)
+            .collect();
+        assert_eq!(pres.len(), 3, "{pres:?}");
+        assert_eq!(pres[1], pres[2], "{pres:?}");
+
+        // Replay on another thread, so a catch-up that never ends fails
+        // the test instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let replays = {
+            let st = Arc::clone(&st);
+            std::thread::spawn(move || {
+                replays_match_fresh_bootstraps(&st, &key);
+                let _ = done.send(());
+            })
+        };
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("the replay never finished"),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(replays.join().unwrap_err())
+            }
         }
-        let (status, body, _) = route(&st, &post_delta(edits, &[("base", &key)]));
-        assert_eq!(status, 409, "{body}");
-        assert!(body.contains("re-bootstrap"), "{body}");
-        let (status, _, _) = route(&st, &post_delta(edits, &[("base", &key)]));
-        assert_eq!(status, 404, "a 409'd session is dropped");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
