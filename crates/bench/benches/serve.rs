@@ -5,9 +5,8 @@
 //! Emits `BENCH_serve.json` at the workspace root with requests/s and
 //! p50/p99 latencies per batch (quick mode via `KATARA_BENCH_QUICK=1`),
 //! and embeds the daemon's own metrics after its first `/clean`. In full
-//! mode each batch follows an unmeasured window of the same requests and
-//! then keeps issuing requests for a window of its own, so a warm p50
-//! rests on about a hundred requests of a settled daemon, not twenty.
+//! mode each batch keeps issuing requests for a fixed window, so a warm
+//! p50 rests on about a hundred requests, not twenty.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -30,11 +29,10 @@ fn batch_requests() -> usize {
     }
 }
 
-/// How long a batch, and the unmeasured window before it, keep issuing
-/// requests past their minimum count. A warm request alternates between
-/// about 80 and about 120 ms for the first few dozen of its kind before
-/// it settles, so twenty of them (two seconds) gave warm p50s 153 and 81
-/// ms in two runs.
+/// How long a batch keeps issuing requests past its minimum count. A
+/// warm request alternates between about 80 and about 120 ms in runs of
+/// a few requests, so twenty of them (two seconds) gave warm p50s 153 and
+/// 81 ms in two runs.
 fn batch_window() -> Duration {
     if perf::quick_mode() {
         Duration::ZERO
@@ -156,8 +154,6 @@ fn bench_serve(c: &mut Criterion) {
     let (n, window) = (batch_requests(), batch_window());
     for concurrency in CONCURRENCY {
         for (config, path) in [("cold", "/clean?snapshot=cold"), ("warm", "/clean")] {
-            // Unmeasured: lets the daemon settle (see `batch_window`).
-            run_batch(addr, path, &body, 0, window, concurrency);
             let (lat, wall) = run_batch(addr, path, &body, n, window, concurrency);
             let (req_per_s, p50_ms, p99_ms) = perf::batch_rates(&lat, wall);
             report.samples.push(vec![

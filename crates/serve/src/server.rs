@@ -16,9 +16,9 @@
 //!   full re-clean of the edited table at a fraction of the work.
 //!   A session holds its table, snapshot and caches but no KB: every
 //!   replay runs on the request's own clone of the base, like `/clean`.
-//!   Journaled enrichment from `/clean` requests reaches its snapshot
-//!   through a ring of recent deltas, or, once the ring no longer
-//!   reaches back, through a rebuild. `404` unknown session.
+//!   When journaled enrichment from `/clean` requests has moved the base
+//!   past the session's snapshot, the replay rebuilds the snapshot from
+//!   the clone. `404` unknown session.
 //! * `GET /healthz` — liveness and in-flight count.
 //! * `GET /metrics` — the server-wide [`RunMetrics`] as JSON.
 //!
@@ -42,7 +42,7 @@
 //! request finishes.
 
 use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -156,17 +156,11 @@ const SNAPSHOT_CACHE_CAP: usize = 64;
 /// evictions are counted under `serve.sessions_evicted`.
 const SESSION_CACHE_CAP: usize = 16;
 
-/// Cap on the ring of recently journaled enrichment deltas kept for
-/// `/delta` session catch-up. A session that falls further behind than
-/// this has its snapshot rebuilt on its next replay.
-const RECENT_DELTAS_CAP: usize = 64;
-
 /// One warm incremental session (`POST /delta`): the engine state (table,
-/// snapshot and caches), the base KB version its snapshot reflects, and
-/// the crowd policy fixed at bootstrap. It holds no KB of its own.
+/// snapshot and caches) and the crowd policy fixed at bootstrap. It holds
+/// no KB of its own.
 struct DeltaEntry {
     session: DeltaSession,
-    version: u64,
     policy: ServePolicy,
 }
 
@@ -275,11 +269,6 @@ struct ServerState {
     /// Warm incremental sessions (`POST /delta`), keyed by the session
     /// key assigned at bootstrap; LRU-evicted at capacity.
     sessions: Mutex<LruCache<u64, Arc<Mutex<DeltaEntry>>>>,
-    /// Recently journaled enrichment deltas as (pre-apply KB version,
-    /// delta), in application order. A `/delta` replay patches its
-    /// session's snapshot with the ones its base clone holds and the
-    /// snapshot does not.
-    recent_deltas: Mutex<VecDeque<(u64, EnrichmentDelta)>>,
     /// `Some` when serving durably (`--journal-dir`): enrichment is
     /// journaled before the response acknowledges it. The mutex also
     /// serializes append-then-apply, so the journal's record order is
@@ -396,7 +385,6 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 snapshots: Mutex::new(LruCache::new(SNAPSHOT_CACHE_CAP)),
                 sessions: Mutex::new(LruCache::new(SESSION_CACHE_CAP)),
-                recent_deltas: Mutex::new(VecDeque::new()),
                 journal: journal.map(|journal| {
                     Mutex::new(JournalState {
                         journal,
@@ -822,7 +810,7 @@ fn bootstrap_delta_session(state: &ServerState, req: &Request, text: &str) -> (u
         Ok(parsed) => parsed,
         Err(response) => return response,
     };
-    let (mut kb, version) = clone_base_kb(state);
+    let (mut kb, _) = clone_base_kb(state);
     let mut crowd = match serve_crowd(policy.clone(), Budget::unlimited()) {
         Ok(crowd) => crowd,
         Err(response) => return response,
@@ -844,11 +832,7 @@ fn bootstrap_delta_session(state: &ServerState, req: &Request, text: &str) -> (u
             let body = report_body(report, &kb, &table);
             let mut key = new_session_key();
             if let Some(session) = session {
-                let entry = Arc::new(Mutex::new(DeltaEntry {
-                    session,
-                    version,
-                    policy,
-                }));
+                let entry = Arc::new(Mutex::new(DeltaEntry { session, policy }));
                 let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
                 // Two counters can hash alike; draw again rather than
                 // hand out a resident session.
@@ -864,8 +848,11 @@ fn bootstrap_delta_session(state: &ServerState, req: &Request, text: &str) -> (u
     )
 }
 
-/// Replay path: parse the edits CSV, clone the base, catch the session's
-/// snapshot up to the clone, run the incremental clean on the clone.
+/// Replay path: parse the edits CSV, clone the base, run the incremental
+/// clean on the clone. A snapshot the base has moved past since the
+/// session's last run is rebuilt from the clone (`clean_delta` resyncs
+/// it), so the report is the one a fresh bootstrap of the edited table
+/// against the current base gets.
 fn replay_delta(state: &ServerState, key: u64, text: &str) -> (u16, String) {
     let entry = {
         let mut sessions = state.sessions.lock().unwrap_or_else(|e| e.into_inner());
@@ -883,20 +870,12 @@ fn replay_delta(state: &ServerState, key: u64, text: &str) -> (u16, String) {
         Err(e) => return quarantine(state, &e.to_string()),
     };
     let (mut kb, _) = clone_base_kb(state);
-    catch_up(state, &mut guard, &kb);
-    let DeltaEntry {
-        session,
-        version,
-        policy,
-    } = &mut *guard;
+    let DeltaEntry { session, policy } = &mut *guard;
     let mut crowd = match serve_crowd(policy.clone(), Budget::unlimited()) {
         Ok(crowd) => crowd,
         Err(response) => return response,
     };
     let result = session.clean_delta(&mut kb, &mut crowd, &edits);
-    if session.is_current(&kb) {
-        *version = kb.version();
-    }
     respond(
         state,
         result,
@@ -910,32 +889,6 @@ fn with_session_key(key: u64, body: &str) -> String {
     format!("{{\"session\":\"{key:016x}\",{}", &body[1..])
 }
 
-/// Patch a `/delta` session's snapshot up to `kb`, a fresh clone of the
-/// base: apply, in order, every ring delta from the session's version up
-/// to the clone's. The clone already holds them all, as
-/// [`DeltaSession::apply_enrichment`] requires. When the ring no longer
-/// reaches back to the session's version nothing is patched, and
-/// `clean_delta` rebuilds the stale snapshot from `kb` instead.
-fn catch_up(state: &ServerState, entry: &mut DeltaEntry, kb: &Kb) {
-    let missed: Vec<EnrichmentDelta> = {
-        let ring = state
-            .recent_deltas
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let Some(start) = ring.iter().position(|(pre, _)| *pre == entry.version) else {
-            return;
-        };
-        ring.iter()
-            .skip(start)
-            .take_while(|(pre, _)| *pre < kb.version())
-            .map(|(_, delta)| delta.clone())
-            .collect()
-    };
-    for delta in &missed {
-        entry.session.apply_enrichment(kb, delta);
-    }
-}
-
 /// Clone the base KB together with the version the clone is at.
 ///
 /// In durable mode the *journal* mutex is taken first: `persist_enrichment`
@@ -945,7 +898,7 @@ fn catch_up(state: &ServerState, entry: &mut DeltaEntry, kb: &Kb) {
 /// superseded. Holding the journal mutex for the read makes the
 /// `(clone, version)` pair journal-prefix-consistent: the clone reflects
 /// exactly the appends numbered up to its version, which is also what
-/// keeps the warm-snapshot cache and the `/delta` catch-up ring honest.
+/// keeps the warm-snapshot cache honest.
 fn clone_base_kb(state: &ServerState) -> (Kb, u64) {
     let _journal_guard = state
         .journal
@@ -986,20 +939,7 @@ fn persist_enrichment(state: &ServerState, report: &mut CleaningReport) {
             let mut next = shared.clone();
             match next.apply_delta(&delta) {
                 Ok(_changed) => {
-                    let pre = shared.version();
                     *shared = next;
-                    // Record (pre-apply version, delta) so warm `/delta`
-                    // sessions can patch their snapshots forward.
-                    {
-                        let mut ring = state
-                            .recent_deltas
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner());
-                        ring.push_back((pre, delta.clone()));
-                        while ring.len() > RECENT_DELTAS_CAP {
-                            ring.pop_front();
-                        }
-                    }
                     // Past the compaction threshold? Checkpoint under
                     // both locks. A failed compaction is not data loss
                     // (the journal still holds every record); it
@@ -1238,7 +1178,6 @@ mod tests {
             shutdown: AtomicBool::new(false),
             snapshots: Mutex::new(LruCache::new(SNAPSHOT_CACHE_CAP)),
             sessions: Mutex::new(LruCache::new(SESSION_CACHE_CAP)),
-            recent_deltas: Mutex::new(VecDeque::new()),
             journal: journal.map(|journal| {
                 Mutex::new(JournalState {
                     journal,
@@ -1780,25 +1719,32 @@ mod tests {
         assert_eq!(without_session(&body), fresh_bootstrap(st, &edited));
     }
 
-    /// A session the ring no longer reaches is rebuilt from the base on
-    /// its next replay instead of being refused.
+    /// A session the base has moved past is rebuilt from the base on its
+    /// next replay instead of being refused, however the base moved: here
+    /// by a `/clean`'s journaled enrichment and then by a journaled delta
+    /// no request produced.
     #[test]
-    fn a_session_the_ring_no_longer_reaches_resyncs() {
+    fn a_session_the_base_moved_past_resyncs() {
         let (st, dir) = durable_state("resync");
         let key = session_behind_the_base(&st);
-        st.recent_deltas.lock().unwrap().clear();
+        {
+            let mut js = st.journal.as_ref().unwrap().lock().unwrap();
+            let mut kb = st.kb.write().unwrap();
+            kb.begin_delta_capture();
+            kb.add_entity("Atlantis", "Atlantis", &[]);
+            js.journal.append(&kb.take_delta()).unwrap();
+        }
         replays_match_fresh_bootstraps(&st, &key);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A session the ring still reaches patches its snapshot with the
-    /// missed deltas, to the same bytes. The ring here also holds the
-    /// entry two concurrent cleans of one base leave when both journal
-    /// the same fact: the second apply moves no version, so two entries
-    /// share a pre-apply version.
+    /// Two concurrent cleans of one base that journal the same fact: the
+    /// second apply moves no version, so two journaled deltas share a
+    /// pre-apply version. A session behind both, and behind a further
+    /// advance, still replays to the bytes a fresh bootstrap gets.
     #[test]
-    fn a_session_the_ring_reaches_catches_up() {
-        let (st, dir) = durable_state("ring");
+    fn a_session_behind_a_repeated_fact_resyncs() {
+        let (st, dir) = durable_state("repeat");
         let (mut kb, _) = clone_base_kb(&st);
         let table = csv::parse("t", SOCCER_CSV).unwrap();
         let mut crowd = serve_crowd(ServePolicy::Trust, Budget::unlimited()).unwrap();
@@ -1814,18 +1760,9 @@ mod tests {
         let (status, body, _) = route(&st, &post_clean(&rome, &[]));
         assert_eq!(status, 200, "{body}");
         assert!(st.kb.read().unwrap().version() > v1, "base advanced");
-        let pres: Vec<u64> = st
-            .recent_deltas
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|d| d.0)
-            .collect();
-        assert_eq!(pres.len(), 3, "{pres:?}");
-        assert_eq!(pres[1], pres[2], "{pres:?}");
 
-        // Replay on another thread, so a catch-up that never ends fails
-        // the test instead of hanging it.
+        // Replay on another thread, so a replay that never ends fails the
+        // test instead of hanging it.
         let (done, finished) = std::sync::mpsc::channel();
         let replays = {
             let st = Arc::clone(&st);
