@@ -48,7 +48,8 @@
 //! counts, snapshot-tier hit rates, crowd spend, repair statistics — as
 //! stable JSON. The `"deterministic"` section is byte-identical across
 //! `--threads` values; wall times and the span tree live in the separate
-//! `"nondeterministic"` section. `--trace` prints the per-phase span tree
+//! `"nondeterministic"` section, which also times the input loads
+//! (`kb.load`, `table.load`). `--trace` prints the per-phase span tree
 //! (human-readable, quantized wall times) to stderr; the two flags
 //! compose and neither perturbs the repairs.
 //!
@@ -736,8 +737,27 @@ pub fn run(cmd: Command) -> Result<RunStatus, CliError> {
             delta,
             crowd_agg,
         } => {
-            let (mut kb, kb_report) = load_kb(&kb, ingest)?;
-            let (mut table, table_report) = load_table(&table, ingest)?;
+            // Instrumentation is opt-in: without `--metrics`/`--trace`
+            // the pipeline keeps its default no-op recorder. The recorder
+            // exists before the loads, so their spans show where a large
+            // KB's start-up time goes.
+            let run_recorder = if metrics.is_some() || trace {
+                Some(Arc::new(RunRecorder::new()))
+            } else {
+                None
+            };
+            let obs_recorder: Arc<dyn Recorder> = match &run_recorder {
+                Some(r) => Arc::clone(r) as Arc<dyn Recorder>,
+                None => Arc::new(NoopRecorder),
+            };
+            let (mut kb, kb_report) = {
+                let _span = Span::enter(obs_recorder.as_ref(), "kb.load");
+                load_kb(&kb, ingest)?
+            };
+            let (mut table, table_report) = {
+                let _span = Span::enter(obs_recorder.as_ref(), "table.load");
+                load_table(&table, ingest)?
+            };
             print_kb_ingest(&kb_report);
             print_table_ingest(&table_report);
             let ingest_summary = IngestSummary {
@@ -761,17 +781,6 @@ pub fn run(cmd: Command) -> Result<RunStatus, CliError> {
                 CliOracle::new(crowd),
             )?;
             let pool = resolve_threads(threads);
-            // Instrumentation is opt-in: without `--metrics`/`--trace`
-            // the pipeline keeps its default no-op recorder.
-            let run_recorder = if metrics.is_some() || trace {
-                Some(Arc::new(RunRecorder::new()))
-            } else {
-                None
-            };
-            let obs_recorder: Arc<dyn Recorder> = match &run_recorder {
-                Some(r) => Arc::clone(r) as Arc<dyn Recorder>,
-                None => Arc::new(NoopRecorder),
-            };
             let config = KataraConfig {
                 repairs_k: k,
                 // The CLI oracle is deterministic (or a human): one

@@ -427,6 +427,14 @@ fn metrics_flag_writes_deterministic_run_metrics() {
     assert!(!one.contains("\"repair.tuples_repaired\": 0,"), "{one}");
     assert!(one.contains("\"threads\": 1"), "{one}");
     assert!(eight.contains("\"threads\": 8"), "{eight}");
+    // The loads are timed too, as top-level spans of the nondeterministic
+    // section.
+    for span in ["kb.load", "table.load"] {
+        assert!(
+            one.contains(&format!("{{ \"name\": \"{span}\", \"depth\": 0,")),
+            "{one}"
+        );
+    }
 
     // The determinism contract CI enforces, in miniature: the whole
     // deterministic section is byte-identical across thread counts.

@@ -1,14 +1,19 @@
 //! Strict ingestion is the identity on clean, generator-produced data.
 //!
 //! The datagen crate produces the corpora every experiment runs on; if
-//! the hardened loaders treated any of it differently from the pre-audit
+//! the hardened loaders treated any of it differently from the reference
 //! parsers, every downstream accuracy number would silently shift. So:
-//! for both KB flavors and all five table families, serialize → strict
-//! `parse_with_policy` must equal the legacy `parse` byte-for-byte, and
-//! both strict and lenient reports must come back clean.
+//! for both KB flavors, serialize → strict and lenient `parse_with_policy`
+//! must equal the reference N-Triples loader (`nt_oracle`, shared with
+//! `katara-kb`'s tests) byte-for-byte, report for report; for all five
+//! table families, strict must equal the legacy `csv::parse`. Every report
+//! must come back clean.
 //!
 //! The case count of the seed-sweep property is elevated in CI via
 //! `KATARA_FUZZ_CASES`.
+
+#[path = "../../kb/tests/nt_oracle/mod.rs"]
+mod nt_oracle;
 
 use std::sync::OnceLock;
 
@@ -35,19 +40,19 @@ fn world() -> &'static World {
     WORLD.get_or_init(|| World::generate(WorldConfig::tiny()))
 }
 
-/// Assert the three KB load paths agree on `text` and report clean loads.
+/// Assert that both KB load policies agree with the reference loader on
+/// `text`, KB bytes and report, and report clean loads.
 fn assert_kb_round_trip(text: &str) {
-    let legacy = ntriples::parse("rt", text).expect("clean dump parses");
-    let (strict, strict_report) =
-        ntriples::parse_with_policy("rt", text, &katara_kb::IngestPolicy::strict())
-            .expect("strict accepts clean dump");
-    let (lenient, lenient_report) =
-        ntriples::parse_with_policy("rt", text, &katara_kb::IngestPolicy::lenient())
-            .expect("lenient accepts clean dump");
-
-    assert_eq!(ntriples::to_string(&legacy), ntriples::to_string(&strict));
-    assert_eq!(ntriples::to_string(&legacy), ntriples::to_string(&lenient));
-    for report in [&strict_report, &lenient_report] {
+    for policy in [
+        katara_kb::IngestPolicy::strict(),
+        katara_kb::IngestPolicy::lenient(),
+    ] {
+        let (kb, report) =
+            ntriples::parse_with_policy("rt", text, &policy).expect("clean dump parses");
+        let (oracle_kb, oracle_report) =
+            nt_oracle::parse_with_policy("rt", text, &policy).expect("reference parses it");
+        assert_eq!(ntriples::to_string(&kb), ntriples::to_string(&oracle_kb));
+        assert_eq!(report, oracle_report);
         assert!(!report.is_degraded(), "clean dump degraded: {report:?}");
         assert_eq!(report.quarantined_count, 0);
         assert_eq!(report.accepted, report.total_statements);

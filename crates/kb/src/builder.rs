@@ -148,11 +148,18 @@ impl KbBuilder {
             self.direct_types.push(Vec::new());
         }
         for &t in types {
-            if !self.direct_types[r.index()].contains(&t) {
-                self.direct_types[r.index()].push(t);
-            }
+            self.add_direct_type(r, t);
         }
         r
+    }
+
+    /// Give the declared entity `r` the direct type `class`, unless it
+    /// already has it.
+    pub(crate) fn add_direct_type(&mut self, r: ResourceId, class: ClassId) {
+        let types = &mut self.direct_types[r.index()];
+        if !types.contains(&class) {
+            types.push(class);
+        }
     }
 
     /// Assert fact `p(s, o)` between two resources.
@@ -195,26 +202,10 @@ impl KbBuilder {
     /// shared by more than one resource (collisions are legal — KATARA
     /// disambiguates by type — but a sudden spike flags a mangled dump).
     pub fn finalize_audited(mut self) -> (Kb, KbAudit) {
-        // Label collisions: group resource indexes by label text.
-        let mut by_label: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (ri, label) in self.labels.iter().enumerate() {
-            by_label.entry(label).or_default().push(ri);
-        }
-        let mut collisions: Vec<LabelCollision> = by_label
-            .into_iter()
-            .filter(|(_, rs)| rs.len() > 1)
-            .map(|(label, rs)| LabelCollision {
-                label: label.to_string(),
-                resources: rs
-                    .into_iter()
-                    .map(|ri| self.resources.resolve(ri).to_string())
-                    .collect(),
-            })
-            .collect();
-        collisions.sort_by(|a, b| a.label.cmp(&b.label));
-        self.audit.label_collisions = collisions;
-        let audit = std::mem::take(&mut self.audit);
-        (self.finalize(), audit)
+        let mut audit = std::mem::take(&mut self.audit);
+        let kb = self.finalize();
+        audit.label_collisions = label_collisions(&kb);
+        (kb, audit)
     }
 
     /// Freeze into a queryable [`Kb`].
@@ -249,12 +240,7 @@ impl KbBuilder {
             }
         }
 
-        // Label index.
-        let mut label_index = LabelIndex::new();
-        for (ri, label) in self.labels.iter().enumerate() {
-            label_index.insert(label, ResourceId::from_index(ri));
-        }
-        let label_index = label_index.freeze();
+        let label_index = LabelIndex::build(&self.labels);
 
         // Fact indexes.
         let mut out_edges: Vec<Vec<(PropertyId, Object)>> = vec![Vec::new(); n];
@@ -357,6 +343,32 @@ impl KbBuilder {
             capture: None,
         }
     }
+}
+
+/// Labels that more than one resource of a freshly finalized `kb`
+/// carries, sorted by label, each with its resources' names in id order.
+/// Equal labels normalize alike, so each collision lies within one slot
+/// of the label index: only slots holding several resources are grouped.
+fn label_collisions(kb: &Kb) -> Vec<LabelCollision> {
+    let mut collisions = Vec::new();
+    for slot in kb.label_index.base_resources().filter(|rs| rs.len() > 1) {
+        let mut by_label = slot.to_vec();
+        // Stable: each label's resources stay in id order.
+        by_label.sort_by(|&a, &b| kb.label_of(a).cmp(kb.label_of(b)));
+        for group in by_label.chunk_by(|&a, &b| kb.label_of(a) == kb.label_of(b)) {
+            if group.len() > 1 {
+                collisions.push(LabelCollision {
+                    label: kb.label_of(group[0]).to_string(),
+                    resources: group
+                        .iter()
+                        .map(|&r| kb.resource_name(r).to_string())
+                        .collect(),
+                });
+            }
+        }
+    }
+    collisions.sort_by(|a, b| a.label.cmp(&b.label));
+    collisions
 }
 
 /// A hash map's entries sorted by key — the order the arenas pack in.
@@ -498,6 +510,39 @@ mod tests {
             vec!["Rossi_(player)".to_string(), "Rossi_(racer)".to_string()]
         );
         assert!(!audit.is_clean());
+    }
+
+    #[test]
+    fn collisions_are_the_labels_several_resources_carry() {
+        let spellings = [
+            "Rossi", "rossi", "ROSSI ", "Pirlo", "Rossi", "", "pirlo", "Ro ssi",
+        ];
+        let labels: Vec<&str> = (0..200).map(|i| spellings[(i * 7 + i / 5) % 8]).collect();
+        let mut b = KbBuilder::new();
+        for (i, label) in labels.iter().enumerate() {
+            b.entity_labeled(&format!("e{i}"), label, &[]);
+        }
+        // Reference: group every resource by its exact label.
+        let mut by_label: HashMap<&str, Vec<String>> = HashMap::new();
+        for (i, label) in labels.iter().enumerate() {
+            by_label.entry(label).or_default().push(format!("e{i}"));
+        }
+        let mut want: Vec<LabelCollision> = by_label
+            .into_iter()
+            .filter(|(_, rs)| rs.len() > 1)
+            .map(|(label, resources)| LabelCollision {
+                label: label.to_string(),
+                resources,
+            })
+            .collect();
+        want.sort_by(|a, b| a.label.cmp(&b.label));
+        let (_, audit) = b.finalize_audited();
+        assert_eq!(audit.label_collisions, want);
+        assert_eq!(
+            audit.label_collisions.len(),
+            7,
+            "every distinct spelling recurs"
+        );
     }
 
     #[test]

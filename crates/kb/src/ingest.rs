@@ -6,10 +6,9 @@
 //! This module defines the knobs and reports that make the KB loading
 //! boundary panic-free and *observable*:
 //!
-//! * [`IngestPolicy`] — strict (fail on the first defect, byte-identical
-//!   to the historical parser) or lenient (quarantine defects and keep
-//!   going), plus resource caps that turn exhaustion inputs into typed
-//!   errors instead of OOM;
+//! * [`IngestPolicy`] — strict (fail on the first defect) or lenient
+//!   (quarantine defects and keep going), plus resource caps that turn
+//!   exhaustion inputs into typed errors instead of OOM;
 //! * [`Quarantined`] — one rejected input line with line number, byte
 //!   offset, and error kind;
 //! * [`KbAudit`] — what the builder's audit-and-repair pass found and did
@@ -23,8 +22,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum IngestMode {
-    /// Fail on the first defect with a typed, line-numbered error. On
-    /// clean input this is byte-identical to the historical parser.
+    /// Fail on the first defect with a typed, line-numbered error.
     #[default]
     Strict,
     /// Quarantine defective lines (subject to caps) and keep loading;

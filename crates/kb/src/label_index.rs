@@ -37,7 +37,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::ops::AddAssign;
 use std::sync::Arc;
 
@@ -79,7 +79,7 @@ impl AddAssign for LabelSearchStats {
 }
 
 /// Where one slot's normalized label sits in the arena, and its shape.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SlotLabel {
     /// Byte offset one past the label's end; it starts where the previous
     /// slot's label ends.
@@ -136,25 +136,32 @@ struct Slots {
     grams: HashMap<[char; 3], Vec<u32>>,
 }
 
+/// Buffers one slot's trigrams are computed in, reused across slots.
+#[derive(Default)]
+struct GramBuffers {
+    padded: Vec<char>,
+    grams: Vec<[char; 3]>,
+}
+
 impl Slots {
-    /// Open a slot for `norm`, which no slot of the index holds yet.
-    fn push(&mut self, norm: String) -> u32 {
+    /// Open a slot for `norm`, which no slot of the index holds yet, and
+    /// return its number; the caller maps `norm` to it in `slot_of`.
+    fn open(&mut self, norm: &str, buf: &mut GramBuffers) -> u32 {
         let s = self.first + u32::try_from(self.labels.len()).expect("label slots exhausted");
-        let grams = sim::sorted_trigrams(&norm);
-        for &g in &grams {
+        sim::sorted_trigrams_into(norm, &mut buf.padded, &mut buf.grams);
+        for &g in &buf.grams {
             self.grams.entry(g).or_default().push(s);
         }
         let count = |n: usize| n.min(SATURATED) as u64;
-        let shape = sim::char_signature(&norm)
-            | count(norm.chars().count()) << CHARS_SHIFT
-            | count(grams.len()) << GRAMS_SHIFT;
-        self.arena.push_str(&norm);
+        let shape = sim::char_signature(norm)
+            | count(buf.padded.len() - 4) << CHARS_SHIFT
+            | count(buf.grams.len()) << GRAMS_SHIFT;
+        self.arena.push_str(norm);
         self.labels.push(SlotLabel {
             end: self.arena.len(),
             shape,
         });
         self.resources.push(Vec::new());
-        self.slot_of.insert(norm, s);
         s
     }
 
@@ -215,7 +222,11 @@ impl LabelIndex {
         } else {
             let s = match self.added.slot_of.get(&norm) {
                 Some(&s) => s,
-                None => self.added.push(norm),
+                None => {
+                    let s = self.added.open(&norm, &mut GramBuffers::default());
+                    self.added.slot_of.insert(norm, s);
+                    s
+                }
             };
             &mut self.added.resources[(s - self.added.first) as usize]
         };
@@ -224,19 +235,41 @@ impl LabelIndex {
         }
     }
 
-    /// Freeze a builder's index: every slot so far moves (uncopied) behind
-    /// the shared `Arc`. The base must still be empty.
-    pub(crate) fn freeze(self) -> Self {
-        debug_assert!(self.base.labels.is_empty(), "a label index freezes once");
-        let first = u32::try_from(self.added.labels.len()).expect("label slots exhausted");
+    /// The frozen index of a finalized store, resource `i` carrying
+    /// `labels[i]`: what inserting each label in turn into an empty index
+    /// would build, with every slot behind the shared `Arc`. One pass
+    /// hashes each normalized label once and reuses one set of trigram
+    /// buffers.
+    pub(crate) fn build(labels: &[String]) -> Self {
+        let mut base = Slots::default();
+        let mut slot_of = HashMap::with_capacity(labels.len());
+        let mut buf = GramBuffers::default();
+        for (ri, label) in labels.iter().enumerate() {
+            let s = match slot_of.entry(sim::normalize(label)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let s = base.open(e.key(), &mut buf);
+                    *e.insert(s)
+                }
+            };
+            base.resources[s as usize].push(ResourceId::from_index(ri));
+        }
+        base.slot_of = slot_of;
+        let first = u32::try_from(base.labels.len()).expect("label slots exhausted");
         LabelIndex {
-            base: Arc::new(self.added),
+            base: Arc::new(base),
             added: Slots {
                 first,
                 ..Slots::default()
             },
             shadowed: Vec::new(),
         }
+    }
+
+    /// Per slot frozen at finalize, the resources whose labels normalize
+    /// to its label, ascending.
+    pub(crate) fn base_resources(&self) -> impl Iterator<Item = &[ResourceId]> {
+        self.base.resources.iter().map(Vec::as_slice)
     }
 
     #[cfg(test)]
@@ -620,6 +653,34 @@ mod tests {
         assert_eq!(hits.len(), 1);
         let expect = sim::similarity(&sim::normalize("Madird"), &sim::normalize("Madrid"));
         assert!((hits[0].score - expect).abs() < 1e-15);
+    }
+
+    #[test]
+    fn build_is_inserting_each_label_in_turn() {
+        let syllables = ["ro", "MA", "ma", "drid", " ", "é", "ß", "ǅ"];
+        let mut labels: Vec<String> = (0..600usize)
+            .map(|i| {
+                (0..1 + i % 4)
+                    .map(|k| syllables[(i / (k + 1) + k) % syllables.len()])
+                    .collect()
+            })
+            .collect();
+        labels.extend(["", "  ", "Rome", " rome ", &"long ".repeat(80)].map(String::from));
+        let built = LabelIndex::build(&labels);
+        let mut inserted = LabelIndex::new();
+        for (ri, label) in labels.iter().enumerate() {
+            inserted.insert(label, ResourceId::from_index(ri));
+        }
+        let (base, want) = (&*built.base, &inserted.added);
+        assert_eq!(base.first, 0);
+        assert_eq!(base.resources, want.resources);
+        assert_eq!(base.arena, want.arena);
+        assert_eq!(base.labels, want.labels);
+        assert_eq!(base.slot_of, want.slot_of);
+        assert_eq!(base.grams, want.grams);
+        assert!(built.added.labels.is_empty());
+        assert_eq!(built.added.first as usize, built.len());
+        assert!(built.len() < labels.len(), "the labels hold homonyms");
     }
 
     #[test]

@@ -228,26 +228,32 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / max_len as f64
 }
 
-/// The character trigrams of `s`, padded with two sentinel chars on each
-/// side so short strings still produce several grams (standard n-gram
-/// indexing practice; mirrors Lucene's `NGramTokenizer` behaviour closely
-/// enough for threshold matching).
-pub fn trigrams(s: &str) -> Vec<[char; 3]> {
-    let padded: Vec<char> = std::iter::repeat_n('\u{2}', 2)
-        .chain(s.chars())
-        .chain(std::iter::repeat_n('\u{3}', 2))
-        .collect();
-    padded.windows(3).map(|w| [w[0], w[1], w[2]]).collect()
+/// The *distinct* character trigrams of `s`, sorted. `s` is padded with
+/// two sentinel chars on each side so short strings still produce
+/// several grams (standard n-gram indexing practice; mirrors Lucene's
+/// `NGramTokenizer` behaviour closely enough for threshold matching).
+/// The set is a sorted vec so set operations are linear merges instead
+/// of hash probes.
+pub fn sorted_trigrams(s: &str) -> Vec<[char; 3]> {
+    let mut grams = Vec::new();
+    sorted_trigrams_into(s, &mut Vec::new(), &mut grams);
+    grams
 }
 
-/// The *distinct* character trigrams of `s`, sorted. This is the set form
-/// of [`trigrams`], represented as a sorted vec so set operations are
-/// linear merges instead of hash probes.
-pub fn sorted_trigrams(s: &str) -> Vec<[char; 3]> {
-    let mut g = trigrams(s);
-    g.sort_unstable();
-    g.dedup();
-    g
+/// [`sorted_trigrams`] into reused buffers: `padded` receives the padded
+/// chars of `s` (so `s` has `padded.len() - 4` chars), `grams` the
+/// distinct trigrams, sorted.
+pub(crate) fn sorted_trigrams_into(s: &str, padded: &mut Vec<char>, grams: &mut Vec<[char; 3]>) {
+    padded.clear();
+    padded.extend(
+        std::iter::repeat_n('\u{2}', 2)
+            .chain(s.chars())
+            .chain(std::iter::repeat_n('\u{3}', 2)),
+    );
+    grams.clear();
+    grams.extend(padded.windows(3).map(|w| [w[0], w[1], w[2]]));
+    grams.sort_unstable();
+    grams.dedup();
 }
 
 /// Jaccard similarity of two *sorted, deduplicated* trigram vectors (as
@@ -393,9 +399,11 @@ mod tests {
         // Two sentinel chars on each side: an n-char string yields n + 2
         // windows of width 3. The empty string still produces the two
         // all-sentinel grams, so the gram index never sees an empty key set.
-        assert_eq!(trigrams("").len(), 2);
-        assert_eq!(trigrams("a").len(), 3);
-        assert_eq!(trigrams("ab").len(), 4);
+        let (mut padded, mut grams) = (Vec::new(), Vec::new());
+        for (s, windows) in [("", 2), ("a", 3), ("ab", 4)] {
+            sorted_trigrams_into(s, &mut padded, &mut grams);
+            assert_eq!(padded.windows(3).count(), windows, "{s:?}");
+        }
         // "" and "a" share no window (every gram of "a" contains 'a'), so
         // their Jaccard is exactly 0 — a well-defined number, never NaN,
         // because the padded gram sets are non-empty.
@@ -405,10 +413,15 @@ mod tests {
     #[test]
     fn sorted_trigrams_dedups() {
         // "aaaa" has six padded windows but the gram [a,a,a] repeats.
-        assert_eq!(trigrams("aaaa").len(), 6);
-        assert_eq!(sorted_trigrams("aaaa").len(), 5);
-        let g = sorted_trigrams("aaaa");
-        assert!(g.windows(2).all(|w| w[0] < w[1]), "sorted + strict dedup");
+        let (mut padded, mut grams) = (Vec::new(), Vec::new());
+        sorted_trigrams_into("aaaa", &mut padded, &mut grams);
+        assert_eq!(padded.windows(3).count(), 6);
+        assert_eq!(grams.len(), 5);
+        assert!(
+            grams.windows(2).all(|w| w[0] < w[1]),
+            "sorted + strict dedup"
+        );
+        assert_eq!(sorted_trigrams("aaaa"), grams);
     }
 
     #[test]

@@ -271,8 +271,8 @@ struct ServerState {
     sessions: Mutex<LruCache<u64, Arc<Mutex<DeltaEntry>>>>,
     /// `Some` when serving durably (`--journal-dir`): enrichment is
     /// journaled before the response acknowledges it. The mutex also
-    /// serializes append-then-apply, so the journal's record order is
-    /// the order deltas hit the shared KB.
+    /// serializes apply-to-clone, append, swap, so the journal's record
+    /// order is the order deltas hit the shared KB.
     journal: Option<Mutex<JournalState>>,
 }
 
@@ -892,9 +892,9 @@ fn with_session_key(key: u64, body: &str) -> String {
 /// Clone the base KB together with the version the clone is at.
 ///
 /// In durable mode the *journal* mutex is taken first: `persist_enrichment`
-/// holds it across append-then-apply, so without it a handler could
-/// observe the window where a record is journaled but not yet folded
-/// into the shared store — a clone at version N that the journal already
+/// holds it across apply-to-clone, append, swap, so without it a handler
+/// could observe the window where a record is journaled but not yet
+/// swapped into the shared store — a clone at version N that the journal already
 /// superseded. Holding the journal mutex for the read makes the
 /// `(clone, version)` pair journal-prefix-consistent: the clone reflects
 /// exactly the appends numbered up to its version, which is also what
@@ -912,14 +912,19 @@ fn clone_base_kb(state: &ServerState) -> (Kb, u64) {
 /// shared KB so later requests see it (persist-before-ack — the record
 /// is fsynced before the response leaves).
 ///
-/// The journal mutex is held across append *and* apply, so deltas hit
-/// the shared store in sequence order: recovery replays the same op
-/// sequence onto the same base and lands on a byte-identical store.
+/// The delta is applied to a scratch clone of the base first: an op that
+/// fails to resolve must not leave the shared store half-mutated, and a
+/// delta that changes nothing (facts the base already holds) is neither
+/// journaled nor fsynced. The clone is swapped in only after the append
+/// succeeds. The journal mutex is held from the clone to the swap, so no
+/// other write moves the base in between, and deltas hit the shared
+/// store in sequence order: recovery replays the same op sequence onto
+/// the same base and lands on a byte-identical store.
 ///
-/// Failure is degradation, never a crash: if the journal cannot take
-/// the record, the enrichment is dropped (this run's report is still
-/// complete), `enrichment_dropped` marks the response 206, and the
-/// `serve.enrichment_dropped` counter fires.
+/// Failure is degradation, never a crash: if the delta does not apply or
+/// the journal cannot take the record, the enrichment is dropped (this
+/// run's report is still complete), `enrichment_dropped` marks the
+/// response 206, and the `serve.enrichment_dropped` counter fires.
 fn persist_enrichment(state: &ServerState, report: &mut CleaningReport) {
     let Some(journal) = &state.journal else {
         return;
@@ -930,35 +935,30 @@ fn persist_enrichment(state: &ServerState, report: &mut CleaningReport) {
     }
     let rec = state.recorder.as_ref();
     let mut js = journal.lock().unwrap_or_else(|e| e.into_inner());
-    match js.journal.append(&delta) {
-        Ok(_seq) => {
-            let mut shared = state.kb.write().unwrap_or_else(|e| e.into_inner());
-            // Apply to a scratch clone and swap: an op that fails to
-            // resolve must not leave the shared store half-mutated. The
-            // clone copies only the overlays, not the finalized KB.
-            let mut next = shared.clone();
-            match next.apply_delta(&delta) {
-                Ok(_changed) => {
-                    *shared = next;
-                    // Past the compaction threshold? Checkpoint under
-                    // both locks. A failed compaction is not data loss
-                    // (the journal still holds every record); it
-                    // surfaces through healthz as lag / broken.
-                    let _ = js.journal.maybe_compact(&mut shared);
-                }
-                Err(_) => {
-                    // Journaled but inapplicable (schema drift between
-                    // clone and apply — not reachable through the
-                    // pipeline's own deltas). Count it dropped.
-                    report.degradation.enrichment_dropped += delta.len();
-                    rec.incr_by(Counter::ServeEnrichmentDropped, delta.len() as u64);
-                }
+    // The clone copies only the overlays, not the finalized KB.
+    let mut next = state.kb.read().unwrap_or_else(|e| e.into_inner()).clone();
+    let persisted = match next.apply_delta(&delta) {
+        Ok(0) => true,
+        Ok(_changed) => match js.journal.append(&delta) {
+            Ok(_seq) => {
+                let mut shared = state.kb.write().unwrap_or_else(|e| e.into_inner());
+                *shared = next;
+                // Past the compaction threshold? Checkpoint under both
+                // locks. A failed compaction is not data loss (the
+                // journal still holds every record); it surfaces through
+                // healthz as lag / broken.
+                let _ = js.journal.maybe_compact(&mut shared);
+                true
             }
-        }
-        Err(_) => {
-            report.degradation.enrichment_dropped += delta.len();
-            rec.incr_by(Counter::ServeEnrichmentDropped, delta.len() as u64);
-        }
+            Err(_) => false,
+        },
+        // Schema drift between the run's clone and the base — not
+        // reachable through the pipeline's own deltas.
+        Err(_) => false,
+    };
+    if !persisted {
+        report.degradation.enrichment_dropped += delta.len();
+        rec.incr_by(Counter::ServeEnrichmentDropped, delta.len() as u64);
     }
     publish_journal_stats(rec, &mut js);
 }
@@ -1209,6 +1209,16 @@ mod tests {
         let st = state_with_journal(Some(journal));
         *st.kb.write().unwrap() = kb;
         (st, dir)
+    }
+
+    fn get(path: &str) -> Request {
+        Request {
+            method: "GET".into(),
+            path: path.into(),
+            query: vec![],
+            headers: vec![],
+            body: vec![],
+        }
     }
 
     fn post_clean(body: &str, query: &[(&str, &str)]) -> Request {
@@ -1753,8 +1763,26 @@ mod tests {
             .unwrap();
         let key = session_behind_the_base(&st);
         let v1 = st.kb.read().unwrap().version();
+        let journal_state = || {
+            let (_, healthz, _) = route(&st, &get("/healthz"));
+            let appends = st.recorder.counter_total(Counter::JournalAppends);
+            let fsyncs = st.recorder.counter_total(Counter::JournalFsyncs);
+            (healthz, appends, fsyncs)
+        };
+        let before = journal_state();
+        assert!(before.0.contains("\"last_seq\":1,"), "{}", before.0);
+        assert!(
+            !late.enrichment().is_empty(),
+            "the late clean confirms a fact"
+        );
         persist_enrichment(&st, &mut late);
         assert_eq!(st.kb.read().unwrap().version(), v1, "the same fact again");
+        assert_eq!(
+            journal_state(),
+            before,
+            "a delta that changes nothing is neither journaled nor fsynced"
+        );
+        assert_eq!(late.degradation.enrichment_dropped, 0);
         // A further advance: Spain's capital is confirmed as Rome too.
         let rome = SOCCER_CSV.replace("Spain,Madrid", "Spain,Rome");
         let (status, body, _) = route(&st, &post_clean(&rome, &[]));
@@ -1784,13 +1812,7 @@ mod tests {
     #[test]
     fn healthz_reports_durability_state() {
         let (st, dir) = durable_state("healthz");
-        let req = Request {
-            method: "GET".into(),
-            path: "/healthz".into(),
-            query: vec![],
-            headers: vec![],
-            body: vec![],
-        };
+        let req = get("/healthz");
         let (status, body, _) = route(&st, &req);
         assert_eq!(status, 200);
         assert!(body.contains("\"status\":\"ok\""), "{body}");
